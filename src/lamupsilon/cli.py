@@ -116,20 +116,21 @@ def _cmd_normalize(args) -> int:
     if args.max_steps is not None and args.max_steps < 0:
         return _usage_error("--max-steps must be non-negative")
     try:
-        normal, trace = normalize(term, args.strategy, args.max_steps)
+        normal, trace = normalize(
+            term, args.strategy, args.max_steps, keep_terms=args.trace
+        )
+        code = 0
     except BudgetExceeded as stopped:
-        print(render_term(stopped.term))
-        if args.trace:
-            print(json.dumps(trace_to_json(stopped.trace)))
+        normal, trace, code = stopped.term, stopped.trace, 1
+    print(render_term(normal))
+    if args.trace:
+        print(json.dumps(trace_to_json(trace)))
+    if code:
         print(
             f"step budget of {args.max_steps} exhausted; result is not normal",
             file=sys.stderr,
         )
-        return 1
-    print(render_term(normal))
-    if args.trace:
-        print(json.dumps(trace_to_json(trace)))
-    return 0
+    return code
 
 
 def _cmd_stats(args) -> int:
@@ -147,7 +148,10 @@ def _cmd_stats(args) -> int:
         params.append(name)
     if not params:
         return _usage_error("no parameters requested")
-    summaries = run_experiment(args.size, args.samples, args.seed, params)
+    try:
+        summaries = run_experiment(args.size, args.samples, args.seed, params)
+    except ValueError as err:  # the arguments passed the checks above: bad UPSILON_THREADS
+        return _usage_error(str(err))
     comparisons = {name: default_comparisons(s) for name, s in summaries.items()}
     export_report(
         [summaries[name] for name in params],

@@ -29,7 +29,10 @@ from .terms import (
     Term,
     children,
     is_pure,
+    iter_subterms,
+    replace_at,
     size,
+    subterm_at,
     with_child,
 )
 
@@ -132,47 +135,26 @@ def rewrite_root(term: Term, kind: RuleKind) -> Term:
 
 def apply_at(term: Term, redex: Redex) -> Term:
     """Apply ``redex`` to ``term``; raises InvalidRedex on mismatch."""
-    spine: list[tuple[Term, int]] = []
-    node = term
-    for ordinal in redex.position:
-        kids = children(node)
-        if not 0 <= ordinal < len(kids):
-            raise InvalidRedex(f"no node at position {redex.position!r}")
-        spine.append((node, ordinal))
-        node = kids[ordinal]
-    new = rewrite_root(node, redex.kind)
-    for parent, ordinal in reversed(spine):
-        new = with_child(parent, ordinal, new)
-    return new
+    try:
+        node = subterm_at(term, redex.position)
+    except ValueError:
+        raise InvalidRedex(f"no node at position {redex.position!r}") from None
+    return replace_at(term, redex.position, rewrite_root(node, redex.kind))
 
 
 def find_redexes(term: Term, kinds: Optional[Iterable[RuleKind]] = None) -> list[Redex]:
     """All redexes whose kind is in ``kinds`` (default: all), in pre-order."""
     wanted = ALL_RULES if kinds is None else frozenset(kinds)
-    found: list[Redex] = []
-    stack: list[tuple[Position, object]] = [((), term)]
-    while stack:
-        pos, node = stack.pop()
-        kind = match_redex(node) if isinstance(node, (App, Closure)) else None
-        if kind is not None and kind in wanted:
-            found.append(Redex(pos, kind))
-        kids = children(node)
-        for i in range(len(kids) - 1, -1, -1):
-            stack.append((pos + (i,), kids[i]))
-    return found
+    return [
+        Redex(pos, kind)
+        for pos, node in iter_subterms(term)
+        if (kind := match_redex(node)) in wanted
+    ]
 
 
 def count_redexes(term: Term, kind: RuleKind) -> int:
     """Number of positions where ``kind`` matches."""
-    total = 0
-    stack = [term]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (App, Closure)):
-            if match_redex(node) is kind:
-                total += 1
-        stack.extend(children(node))
-    return total
+    return count_all_redexes(term)[kind]
 
 
 def count_all_redexes(term: Term) -> dict[RuleKind, int]:

@@ -17,7 +17,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Optional
 
-from .rewrite import RuleKind, count_redexes, unsuspended_constructors
+from .rewrite import RuleKind, count_all_redexes, unsuspended_constructors
 from .terms import SHIFT, Abs, App, Closure, Index, Lift, Slash, Subst, Term
 
 
@@ -271,7 +271,7 @@ def param_value(term: Term, param: ParamKind) -> int:
     """Value of the parameter on one term."""
     if param is ParamKind.UNSUSPENDED:
         return unsuspended_constructors(term)
-    return count_redexes(term, param.rule_kind)
+    return count_all_redexes(term)[param.rule_kind]
 
 
 def _order_bucket(n: int) -> int:
@@ -280,15 +280,6 @@ def _order_bucket(n: int) -> int:
     while order < n:
         order *= 2
     return order
-
-
-_SOLVED_ORDERS: set[int] = set()
-
-
-def _expectation_order(n: int) -> int:
-    """Like _order_bucket, but reuses any already-solved covering order."""
-    covering = [o for o in _SOLVED_ORDERS if o >= n]
-    return min(covering) if covering else _order_bucket(n)
 
 
 @lru_cache(maxsize=4)
@@ -322,7 +313,6 @@ def _expectation_totals(order: int) -> dict[ParamKind, Series]:
     numerator = ramp + t.shift(1) + t2.shift(1) + ts.shift(1)
     den_u = one - z - t.shift(1).scale(2) - s.shift(1)
     totals[ParamKind.UNSUSPENDED] = numerator / den_u
-    _SOLVED_ORDERS.add(order)
     return totals
 
 
@@ -330,7 +320,7 @@ def expected_param_exact(param: ParamKind, n: int) -> Fraction:
     """Exact expectation of the parameter over uniform size-n terms."""
     if n < 1:
         raise ValueError("n must be positive")
-    totals = _expectation_totals(_expectation_order(n))
+    totals = _expectation_totals(_order_bucket(n))
     return Fraction(totals[param].coefficient(n), count_terms(n))
 
 

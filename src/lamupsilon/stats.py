@@ -152,13 +152,16 @@ def _accumulate(n: int, seed: int, lo: int, hi: int, names: tuple[str, ...]):
 def _worker_count(workers: Optional[int]) -> int:
     if workers is not None:
         return max(1, workers)
-    env = os.environ.get("UPSILON_THREADS", "")
-    if env.strip():
+    env = os.environ.get("UPSILON_THREADS", "").strip()
+    if not env:
+        return 1
+    try:
         count = int(env)
-        if count < 1:
-            raise ValueError("UPSILON_THREADS must be a positive integer")
-        return count
-    return 1
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"UPSILON_THREADS must be a positive integer, not {env!r}")
+    return count
 
 
 def run_experiment(
@@ -189,7 +192,7 @@ def run_experiment(
         bounds = [m * w // workers for w in range(workers + 1)]
         jobs = [(n, seed, bounds[w], bounds[w + 1], names) for w in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_accumulate_star, jobs))
+            parts = list(pool.map(_accumulate, *zip(*jobs)))
 
     k = len(names)
     s1 = [sum(part[0][j] for part in parts) for j in range(k)]
@@ -215,10 +218,6 @@ def run_experiment(
             third_central_moment=round12(float(m3)),
         )
     return out
-
-
-def _accumulate_star(job):
-    return _accumulate(*job)
 
 
 def standard_error(summary: SampleSummary) -> float:

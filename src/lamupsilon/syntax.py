@@ -37,9 +37,6 @@ class ParseError(ValueError):
         super().__init__(f"at offset {offset}: expected {wanted}, found {found}")
 
 
-_PUNCT = {"\\": "\\", "(": "(", ")": ")", "[": "[", "]": "]", "/": "/"}
-
-
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     """Split into (kind, value, offset) triples, ending with ("eof", "", n)."""
     tokens: list[tuple[str, object, int]] = []
@@ -53,7 +50,7 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             while i < n and text[i].isdigit():
                 i += 1
             tokens.append(("index", int(text[start:i]), start))
-        elif ch in _PUNCT:
+        elif ch in "\\()[]/":
             tokens.append((ch, ch, i))
             i += 1
         elif ch.isalpha():

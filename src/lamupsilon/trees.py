@@ -88,7 +88,7 @@ class Rng:
 
     The stream is a pure function of the seed: state k yields
     ``mix64(seed + (k+1) * golden)``.  Bounded draws use rejection
-    sampling, so they are unbiased for every bound.
+    sampling, so they are unbiased for every bound up to 2**64.
     """
 
     __slots__ = ("_state",)
@@ -110,9 +110,9 @@ class Rng:
         return _mix64(self._state)
 
     def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound)."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        """Uniform integer in [0, bound), for 0 < bound <= 2**64."""
+        if not 0 < bound <= 1 << 64:
+            raise ValueError("bound must be in [1, 2**64]")
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             x = self.next_u64()

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from lamupsilon import enumerate_terms, parse_term, render_term, size
+from lamupsilon import enumerate_terms, normalize, parse_term, render_term, size
+from lamupsilon import cli
 from lamupsilon.cli import main
 
 
@@ -121,6 +122,33 @@ def test_normalize_budget_exhaustion(capsys):
     assert code == 1
     assert out == "\\1[lift(0/)]\n"
     assert "budget" in err
+    code, out, err = run_cli(
+        capsys, "normalize", "--term", "(\\\\1) 0", "--max-steps", "2", "--trace"
+    )
+    assert code == 1
+    partial, trace = out.splitlines()
+    steps = json.loads(trace)
+    assert partial == "\\1[lift(0/)]"
+    assert [s["rule"] for s in steps] == ["Beta", "Lambda"]
+    assert steps[-1]["term"] == partial
+    assert "budget" in err
+
+
+def test_normalize_keeps_terms_only_for_trace(capsys, monkeypatch):
+    traces = []
+
+    def spy(*args, **kwargs):
+        normal, trace = normalize(*args, **kwargs)
+        traces.append(trace)
+        return normal, trace
+
+    monkeypatch.setattr(cli, "normalize", spy)
+    assert run_cli(capsys, "normalize", "--term", "(\\\\1) 0")[:2] == (0, "\\1\n")
+    assert run_cli(capsys, "normalize", "--term", "(\\\\1) 0", "--trace")[0] == 0
+    plain, traced = traces
+    assert len(plain) == len(traced) == 5
+    assert all(step.result is None for step in plain.steps)
+    assert all(step.result is not None for step in traced.steps)
 
 
 def test_expect_golden(capsys):
@@ -167,6 +195,14 @@ def test_stats_rejects_unknown_param(capsys):
         capsys, "stats", "--size", "5", "--samples", "10", "--params", "zeta"
     )
     assert code == 2 and "zeta" in err
+
+
+@pytest.mark.parametrize("threads", ["x", "0"])
+def test_stats_rejects_bad_thread_count(capsys, monkeypatch, threads):
+    monkeypatch.setenv("UPSILON_THREADS", threads)
+    code, out, err = run_cli(capsys, "stats", "--size", "5", "--samples", "10")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "UPSILON_THREADS" in err
 
 
 def test_verify_catalan(capsys):

@@ -159,6 +159,16 @@ def test_rng_below_is_in_range():
         rng.below(0)
 
 
+def test_rng_below_rejects_bounds_above_two_to_the_64():
+    with pytest.raises(ValueError):
+        Rng(0).below(2**64 + 1)
+
+
+def test_rng_below_accepts_two_to_the_64():
+    rng, raw = Rng(5), Rng(5)
+    assert [rng.below(2**64) for _ in range(3)] == [raw.next_u64() for _ in range(3)]
+
+
 def test_remy_size_one_is_the_single_node():
     for seed in range(5):
         assert remy_tree(1, Rng(seed)) == LEAF
