@@ -43,7 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("normalize", help="rewrite to normal form")
     p.add_argument("--term", help="input term (piped stdin takes precedence)")
     p.add_argument("--strategy", choices=["full", "upsilon"], default="full")
-    p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--max-steps", type=int, default=None, help="step budget; without "
+                   "one, --strategy full may not return and --trace keeps every step")
     p.add_argument("--trace", action="store_true", help="also print the JSON trace")
 
     p = sub.add_parser("stats", help="seeded sampling experiment with comparisons")
@@ -199,7 +200,6 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    sys.setrecursionlimit(20000)  # deep user-supplied terms parse fine
     args = _build_parser().parse_args(argv)
     return _COMMANDS[args.command](args)
 

@@ -16,9 +16,8 @@ only separates tokens (it is required between two adjacent numerals).
 ``parse_term(render_term(t)) == t`` for every term, and rendering uses
 minimal parentheses with single spaces.
 
-Rendering is iterative and handles terms of any size; the parser is a
-recursive descent, so inputs nested thousands of parentheses deep may
-need a raised recursion limit (the command line raises it).
+Parsing and rendering keep explicit stacks, so input of any depth works
+under the default recursion limit.
 """
 
 from __future__ import annotations
@@ -45,11 +44,14 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         ch = text[i]
         if ch in " \t\r\n":
             i += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
-            tokens.append(("index", int(text[start:i]), start))
+            try:
+                tokens.append(("index", int(text[start:i]), start))
+            except ValueError:  # over int()'s digit limit (4300 by default)
+                raise ParseError(start, {"an index"}, f"{i - start} digits") from None
         elif ch in "\\()[]/":
             tokens.append((ch, ch, i))
             i += 1
@@ -68,91 +70,85 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
-_ATOM_START = ("index", "(")
+def _fail(token: tuple[str, object, int], expected: set[str]):
+    kind, value, offset = token
+    found = "end of input" if kind == "eof" else repr(str(value))
+    raise ParseError(offset, expected, found)
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def _expect(tokens: list, pos: int, kind: str) -> int:
+    if tokens[pos][0] != kind:
+        _fail(tokens[pos], {"end of input" if kind == "eof" else repr(kind)})
+    return pos + 1
 
-    def peek(self) -> tuple[str, object, int]:
-        return self.tokens[self.pos]
 
-    def advance(self) -> tuple[str, object, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, description: str) -> tuple[str, object, int]:
-        tok = self.peek()
-        if tok[0] != kind:
-            self.fail({description})
-        return self.advance()
-
-    def fail(self, expected: set[str]):
-        kind, value, offset = self.peek()
-        found = "end of input" if kind == "eof" else repr(str(value))
-        raise ParseError(offset, expected, found)
-
-    def term(self) -> Term:
-        if self.peek()[0] == "\\":
-            self.advance()
-            return Abs(self.term())
-        return self.app()
-
-    def app(self) -> Term:
-        node = self.atom()
-        while self.peek()[0] in _ATOM_START:
-            node = App(node, self.atom())
-        return node
-
-    def atom(self) -> Term:
-        node = self.primary()
-        while self.peek()[0] == "[":
-            self.advance()
-            sub = self.subst()
-            self.expect("]", "']'")
-            node = Closure(node, sub)
-        return node
-
-    def primary(self) -> Term:
-        kind, value, _ = self.peek()
-        if kind == "index":
-            self.advance()
-            return Index(value)
-        if kind == "(":
-            self.advance()
-            node = self.term()
-            self.expect(")", "')'")
-            return node
-        self.fail({"an index", "'('", "'\\'"})
-
-    def subst(self) -> Subst:
-        kind = self.peek()[0]
-        if kind == "shift":
-            self.advance()
-            return SHIFT
-        if kind == "lift":
-            self.advance()
-            self.expect("(", "'('")
-            sub = self.subst()
-            self.expect(")", "')'")
-            return Lift(sub)
-        if kind in _ATOM_START or kind == "\\":
-            node = self.term()
-            self.expect("/", "'/'")
-            return Slash(node)
-        self.fail({"'shift'", "'lift'", "a term"})
+# The token that closes each construct left open on the parser's stack.
+_CLOSER = {"(": ")", "[": "]", "lift": ")", "/": "/", "eof": "eof"}
 
 
 def parse_term(text: str) -> Term:
-    """Parse the concrete syntax; raises ParseError on malformed input."""
-    parser = _Parser(text)
-    node = parser.term()
-    if parser.peek()[0] != "eof":
-        parser.fail({"end of input"})
-    return node
+    """Parse the concrete syntax; raises ParseError on malformed input.
+
+    One loop keeps the open constructs on a stack, innermost last: the
+    token that opened each, "/" for a slash payload and "app" for an
+    application (applications and closures sit on their left part).
+    """
+    tokens = _tokenize(text)
+    pos = 0
+    stack: list = ["eof"]
+    in_subst = False
+    while True:
+        # Descend to the first index of a term, or the shift of a substitution.
+        node = None
+        if in_subst:
+            while tokens[pos][0] == "lift":
+                pos = _expect(tokens, pos + 1, "(")
+                stack.append("lift")
+            kind = tokens[pos][0]
+            if kind == "shift":
+                pos += 1
+                node = SHIFT
+            elif kind in ("index", "(", "\\"):
+                stack.append("/")
+                in_subst = False
+            else:
+                _fail(tokens[pos], {"'shift'", "'lift'", "a term"})
+        while node is None:
+            kind, value, _ = tokens[pos]
+            if kind == "index":
+                node = Index(value)
+            elif kind in ("\\", "("):
+                stack.append(kind)
+            else:
+                _fail(tokens[pos], {"an index", "'('", "'\\'"})
+            pos += 1
+        # Ascend: close constructs until one needs a new term or substitution.
+        while True:
+            if not in_subst:  # node is a primary, with any closures so far
+                kind = tokens[pos][0]
+                if kind == "[":
+                    stack += [node, "["]
+                    pos += 1
+                    in_subst = True
+                    break
+                if stack[-1] == "app":
+                    stack.pop()
+                    node = App(stack.pop(), node)
+                if kind in ("index", "("):
+                    stack += [node, "app"]
+                    break
+                while stack[-1] == "\\":
+                    stack.pop()
+                    node = Abs(node)
+            frame = stack.pop()
+            pos = _expect(tokens, pos, _CLOSER[frame])
+            if frame == "eof":
+                return node
+            if frame == "[":
+                node = Closure(stack.pop(), node)
+            elif frame != "(":
+                node = Slash(node) if frame == "/" else Lift(node)
+            in_subst = frame in ("/", "lift")
 
 
 # Rendering contexts: where the node sits in the grammar.

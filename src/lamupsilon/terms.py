@@ -17,6 +17,39 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+def _node_eq(self, other) -> bool:
+    """Structural equality with an explicit stack, so depth is not limited
+    by the recursion limit; shared by every node type with children."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    stack = [(self, other)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        kind = a.__class__
+        if kind is not b.__class__:
+            return False
+        if kind is Index:
+            if a.n != b.n:
+                return False
+        elif kind is Abs:
+            stack.append((a.body, b.body))
+        elif kind is App:
+            stack.append((a.arg, b.arg))
+            stack.append((a.fun, b.fun))
+        elif kind is Closure:
+            stack.append((a.sub, b.sub))
+            stack.append((a.body, b.body))
+        elif kind is Slash:
+            stack.append((a.term, b.term))
+        elif kind is Lift:
+            stack.append((a.sub, b.sub))
+        elif a != b:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class Index:
     """De Bruijn index; ``n`` must be non-negative."""
@@ -34,6 +67,8 @@ class Abs:
 
     body: "Term"
 
+    __eq__ = _node_eq
+
 
 @dataclass(frozen=True)
 class App:
@@ -41,6 +76,8 @@ class App:
 
     fun: "Term"
     arg: "Term"
+
+    __eq__ = _node_eq
 
 
 @dataclass(frozen=True)
@@ -50,6 +87,8 @@ class Closure:
     body: "Term"
     sub: "Subst"
 
+    __eq__ = _node_eq
+
 
 @dataclass(frozen=True)
 class Slash:
@@ -57,12 +96,16 @@ class Slash:
 
     term: "Term"
 
+    __eq__ = _node_eq
+
 
 @dataclass(frozen=True)
 class Lift:
     """Substitution adjusted to pass under one binder."""
 
     sub: "Subst"
+
+    __eq__ = _node_eq
 
 
 @dataclass(frozen=True)

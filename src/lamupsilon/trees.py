@@ -126,27 +126,31 @@ def phi(tree: BinTree) -> Term:
     A lone node is index 0; two children make an application; only a
     right child makes a binder.  A maximal chain of only-left nodes adds
     successors over a leaf anchor, or wraps lifts around the closure
-    produced by a right-only or two-child anchor.
+    produced by a right-only or two-child anchor.  A pre-order walk finds
+    the chains, and a reverse fold builds the terms bottom-up.
     """
-    left, right = tree.left, tree.right
-    if left is None:
-        return Index(0) if right is None else Abs(phi(right))
-    if right is not None:
-        return App(phi(left), phi(right))
-    chain = 0
-    cur = tree
-    while cur.left is not None and cur.right is None:
-        chain += 1
-        cur = cur.left
-    if cur.left is None and cur.right is None:
-        return Index(chain)
-    if cur.left is None:
-        base, sub = phi(cur.right), SHIFT
-    else:
-        base, sub = phi(cur.left), Slash(phi(cur.right))
-    for _ in range(chain - 1):
-        sub = Lift(sub)
-    return Closure(base, sub)
+    plan, stack = [], [tree]  # plan: (chain length, anchor) in pre-order
+    while stack:
+        node, chain = stack.pop(), 0
+        while node.right is None and node.left is not None:
+            node, chain = node.left, chain + 1
+        plan.append((chain, node))
+        if node.right is not None:
+            stack += (node.right,) if node.left is None else (node.right, node.left)
+    built: list[Term] = []  # a left subtree's term lies above its sibling's
+    for chain, node in reversed(plan):
+        if node.right is None:
+            built.append(Index(chain))
+        elif not chain:
+            top = built.pop()
+            built.append(Abs(top) if node.left is None else App(top, built.pop()))
+        else:
+            base = built.pop()
+            sub = SHIFT if node.left is None else Slash(built.pop())
+            for _ in range(chain - 1):
+                sub = Lift(sub)
+            built.append(Closure(base, sub))
+    return built[0]
 
 
 def phi_inv(term: Term) -> BinTree:

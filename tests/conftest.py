@@ -1,5 +1,7 @@
 import math
+import sys
 
+import pytest
 from hypothesis import strategies as st
 
 from lamupsilon import (
@@ -52,3 +54,12 @@ def chi_square_quantile(df: int, p: float) -> float:
     """Wilson-Hilferty approximation of the chi-square quantile."""
     z = {0.999: 3.090232306167813, 0.99: 2.3263478740408408}[p]
     return df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """Run a test under Python's default recursion limit of 1000."""
+    previous = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(previous)

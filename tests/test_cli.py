@@ -1,11 +1,16 @@
 import io
 import json
+import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from lamupsilon import enumerate_terms, normalize, parse_term, render_term, size
 from lamupsilon import cli
 from lamupsilon.cli import main
+
+from conftest import terms
 
 
 def run_cli(capsys, *argv, stdin=None):
@@ -113,6 +118,36 @@ def test_normalize_without_input_is_usage_error(capsys):
 def test_normalize_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "normalize", "--term", "0[")
     assert code == 2 and "expected" in err
+
+
+@pytest.mark.parametrize(
+    "text, normal",
+    [
+        ("(" * 30_000 + "0" + ")" * 30_000, "0"),
+        ("\\" * 30_000 + "0", "\\" * 30_000 + "0"),
+    ],
+    ids=["parentheses", "binders"],
+)
+def test_normalize_deep_input(capsys, default_recursion_limit, text, normal):
+    assert run_cli(capsys, "normalize", "--term", text) == (0, normal + "\n", "")
+    assert sys.getrecursionlimit() == 1000
+
+
+_FUZZ_TOKENS = list("\\()[]/0123456789 ²x") + ["shift", "lift", "lift("]
+
+
+@given(
+    st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=40).map("".join)
+    | terms.map(render_term)
+)
+@example("(\\0 0) (\\0 0)")  # never normal: the budget runs out
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_normalize_fuzz_never_raises(capsys, text):
+    limit = sys.getrecursionlimit()
+    code, _, err = run_cli(capsys, "normalize", "--term", text, "--max-steps", "50")
+    assert code in (0, 1, 2)
+    assert (code == 2) == err.startswith("error:")
+    assert sys.getrecursionlimit() == limit
 
 
 def test_normalize_budget_exhaustion(capsys):

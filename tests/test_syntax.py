@@ -98,33 +98,56 @@ def test_rendering_is_canonical(t):
     assert render_term(parse_term(render_term(t))) == render_term(t)
 
 
+# The (offset, expected, found) of every malformed input.  All but the last
+# three are as the recursive-descent parser reported them; "²" and a numeral
+# too long for int() used to escape as ValueError.
+MALFORMED = {
+    "": (0, {"an index", "'('", "'\\'"}, "end of input"),
+    "0[": (2, {"'shift'", "'lift'", "a term"}, "end of input"),
+    "(": (1, {"an index", "'('", "'\\'"}, "end of input"),
+    "(0": (2, {"')'"}, "end of input"),
+    "\\": (1, {"an index", "'('", "'\\'"}, "end of input"),
+    "lift": (0, {"an index", "'('", "'\\'"}, "'lift'"),
+    "0)": (1, {"end of input"}, "')'"),
+    "0 x": (2, {"'shift'", "'lift'"}, "'x'"),
+    "0[lift(shift]": (12, {"')'"}, "']'"),
+    "0[0]": (3, {"'/'"}, "']'"),
+    "01a": (2, {"'shift'", "'lift'"}, "'a'"),
+    "0 @": (2, {"a term"}, "'@'"),
+    "²": (0, {"a term"}, "'²'"),  # a digit, but not a decimal one
+    "0²": (1, {"a term"}, "'²'"),
+    "9" * 5000: (0, {"an index"}, "5000 digits"),
+}
+
+
+def parse_error(text):
+    with pytest.raises(ParseError) as info:
+        parse_term(text)
+    return info.value.offset, set(info.value.expected), info.value.found
+
+
 @pytest.mark.parametrize(
-    "text",
-    ["", "0[", "(", "(0", "\\", "lift", "0)", "0 x", "0[lift(shift]", "0[0]", "01a"],
+    "text", [t if len(t) < 20 else pytest.param(t, id="9*5000") for t in MALFORMED]
 )
 def test_malformed_inputs_raise(text):
-    with pytest.raises(ParseError):
-        parse_term(text)
+    assert parse_error(text) == MALFORMED[text]
 
 
 def test_parse_error_carries_offset_and_expectations():
-    with pytest.raises(ParseError) as info:
-        parse_term("0[")
-    assert info.value.offset == 2
-    assert info.value.expected
-    with pytest.raises(ParseError) as info:
-        parse_term("0 @")
-    assert info.value.offset == 2
+    assert parse_error("0[") == MALFORMED["0["]
+    assert parse_error("0 @") == MALFORMED["0 @"]
+    assert parse_error("0[lift 7") == (7, {"'('"}, "'7'")  # the index's value
+    assert parse_error("0[lift(") == (7, MALFORMED["0["][1], "end of input")
 
 
 def test_parse_error_on_trailing_garbage():
-    with pytest.raises(ParseError) as info:
-        parse_term("0)")
-    assert info.value.offset == 1
+    assert parse_error("0)") == MALFORMED["0)"]
+    assert parse_error("\\0 \\0") == (3, {"end of input"}, "'\\\\'")
 
 
 def test_leading_zeros_read_as_decimal():
     assert parse_term("007") == Index(7)
+    assert parse_term("1٣") == Index(13)  # any Unicode decimal digit
 
 
 def test_rendered_terms_have_exact_size():
@@ -142,3 +165,19 @@ def test_moderately_deep_nesting_parses():
     assert wrapped == Index(0)
     lifted = parse_term("0[" + "lift(" * 200 + "shift" + ")" * 200 + "]")
     assert size(lifted) == 203  # closure + index + 200 lifts + shift
+
+
+def test_very_deep_nesting_parses(default_recursion_limit):
+    depth = 100_000
+    assert parse_term("(" * depth + "0" + ")" * depth) == Index(0)
+    binders = Index(0)
+    for _ in range(depth):
+        binders = Abs(binders)
+    assert parse_term("\\" * depth + "0") == binders
+    lifts, payloads, args = SHIFT, Index(0), Index(0)
+    for _ in range(depth):
+        lifts = Lift(lifts)
+        payloads = Closure(Index(0), Slash(payloads))
+        args = App(Index(0), args)
+    for deep in (Closure(Index(0), lifts), payloads, args):
+        assert parse_term(render_term(deep)) == deep

@@ -12,6 +12,7 @@ from lamupsilon import (
     Slash,
     is_pure,
     iter_subterms,
+    render_term,
     replace_at,
     size,
     size_sub,
@@ -77,6 +78,25 @@ def test_structural_equality_and_hashing():
     b = Closure(App(Index(0), Index(1)), Lift(Slash(Index(2))))
     assert a == b and hash(a) == hash(b)
     assert a != Closure(App(Index(0), Index(1)), Lift(Slash(Index(3))))
+    assert Abs(Index(0)) != App(Index(0), Index(0)) and Slash(Index(0)) != SHIFT
+    assert Abs(Index(0)).__eq__("\\0") is NotImplemented
+
+
+@given(terms, terms)
+def test_equality_agrees_with_canonical_text(a, b):
+    assert (a == b) == (render_term(a) == render_term(b))
+    assert (a != b) == (render_term(a) != render_term(b))
+
+
+def test_very_deep_terms_compare(default_recursion_limit):
+    def tower(bottom):
+        node = bottom
+        for _ in range(100_000):
+            node = Closure(Abs(node), Lift(SHIFT))
+        return node
+
+    assert tower(Index(0)) == tower(Index(0))
+    assert tower(Index(0)) != tower(Index(1))
 
 
 def test_child_ordering():

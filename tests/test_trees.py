@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 
@@ -232,3 +233,15 @@ def test_sample_term_sizes_exact():
     for i in range(40):
         n = 1 + (i * 37) % 240
         assert size(sample_term(n, Rng.derived(9999, i))) == n
+
+
+def test_deep_samples_match_the_recursive_translation(default_recursion_limit):
+    # MD5 of the rendered text (plus newline) as the recursive phi produced it
+    # under a raised recursion limit; the first is `lamupsilon sample --size
+    # 300000 --seed 1`.
+    for rng, digest in [
+        (Rng.derived(1, 0), "77ea85b4b6bc6adf7d53c9e5b19c4cd0"),
+        (Rng(1), "078f4fc6ae58d17b18d0f9a9d8896ebe"),
+    ]:
+        text = render_term(sample_term(300_000, rng)) + "\n"
+        assert hashlib.md5(text.encode()).hexdigest() == digest
