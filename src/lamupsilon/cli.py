@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal
 
 from .rewrite import BudgetExceeded, normalize, trace_to_json
 from .series import ParamKind, count_substs, count_terms, expected_param_exact
@@ -167,7 +168,9 @@ def _cmd_expect(args) -> int:
     if args.size < 1:
         return _usage_error("--size must be at least 1")
     value = expected_param_exact(ParamKind(args.param), args.size)
-    print(value)
+    # str() of an int stops at 4300 digits; a Decimal prints any length.
+    num, den = (str(Decimal(k)) for k in (value.numerator, value.denominator))
+    print(num if den == "1" else f"{num}/{den}")
     print(f"{float(value):.12g}")
     return 0
 

@@ -1,10 +1,13 @@
-"""Exact enumeration and truncated power-series solutions.
+"""Exact enumeration, truncated power-series solutions and P-recurrences.
 
-Counting sequences and parameter totals are computed two independent
-ways: degree-by-degree fixpoint solutions of the defining
-generating-function systems (every right-hand side carries a factor z,
-so degree k depends only on degrees below k), and brute-force term
-enumeration.  All arithmetic is exact: big integers for counts, and
+``expected_param_exact`` serves each parameter total from an exact-integer
+P-recurrence (``_RECURRENCES``), run forward in O(n) big-integer steps.
+Two independent oracles stand behind it: degree-by-degree fixpoint
+solutions of the defining generating-function systems (every right-hand
+side carries a factor z, so degree k depends only on degrees below k;
+O(n**2)), and brute-force term enumeration.  ``nested_free_fraction``
+still reads the restricted series, for which no recurrence is known.  All
+arithmetic is exact: big integers for counts and totals, and
 ``fractions.Fraction`` only at the final expectation/ratio step.
 """
 
@@ -14,8 +17,9 @@ import math
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count, islice
 from operator import mul
-from typing import Optional
+from typing import Iterator, Optional
 
 from .rewrite import RuleKind, count_all_redexes, unsuspended_constructors
 from .terms import SHIFT, Abs, App, Closure, Index, Lift, Slash, Subst, Term
@@ -178,16 +182,13 @@ def solve_restricted_series(order: int) -> tuple[Series, Series, Series]:
     p = [0] * (order + 1)
     sbar = [0] * (order + 1)
     tbar = [0] * (order + 1)
+    both = [0] * (order + 1)  # T~ + S~, so z T~ (T~ + S~) is one convolution
     for k in range(1, order + 1):
         nk = 1  # N = z/(1-z)
         p[k] = nk + p[k - 1] + sum(map(mul, p[:k], p[k - 1 :: -1]))
         sbar[k] = p[k - 1] + sbar[k - 1] + (1 if k == 1 else 0)
-        tbar[k] = (
-            nk
-            + tbar[k - 1]
-            + sum(map(mul, tbar[:k], tbar[k - 1 :: -1]))
-            + sum(map(mul, tbar[:k], sbar[k - 1 :: -1]))
-        )
+        tbar[k] = nk + tbar[k - 1] + sum(map(mul, tbar[:k], both[k - 1 :: -1]))
+        both[k] = tbar[k] + sbar[k]
     return Series(p), Series(sbar), Series(tbar)
 
 
@@ -282,10 +283,11 @@ def _order_bucket(n: int) -> int:
     return order
 
 
-@lru_cache(maxsize=4)
 def _expectation_totals(order: int) -> dict[ParamKind, Series]:
     """Series whose n-th coefficient is the parameter total over all
-    size-n terms (the u-derivative at u=1 of each marked system)."""
+    size-n terms (the u-derivative at u=1 of each marked system).
+
+    The O(order**2) oracle for ``_RECURRENCES``; nothing serves from it."""
     t, s, _ = solve_core_series(order)
     t2 = t * t
     ts = t * s
@@ -316,12 +318,76 @@ def _expectation_totals(order: int) -> dict[ParamKind, Series]:
     return totals
 
 
+#: P-recurrences for the parameter totals f(n) of ``_expectation_totals``:
+#: sum_i P_i(n) f(n - i) = 0 for every n >= start, where P_i(n) is
+#: sum_j polys[i][j] * n**j and P_0 has no root from start on.  Each entry
+#: is (initial, polys) with initial = (f(0), ..., f(start - 1)).
+#: ``tools/derive_recurrences.py`` guesses them from the series, proves them
+#: on the algebraic generating functions and checks them to order 2048.
+_RECURRENCES: dict[ParamKind, tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = {
+    ParamKind.BETA: (
+        (0, 0, 0, 0, 1),
+        ((0, -148, 117, -32, 3), (-840, 1108, -570, 134, -12)),
+    ),
+    ParamKind.APP: ((0, 0, 0, 0, 0, 1), ((0, -5, 1), (-30, 22, -4))),
+    ParamKind.LAMBDA: ((0, 0, 0, 0, 1), ((4, -5, 1), (-30, 22, -4))),
+    ParamKind.FVAR: (
+        (0, 0, 0, 0, 1),
+        ((-114, 109, -32, 3), (612, -496, 134, -12)),
+    ),
+    ParamKind.RVAR: ((0, 0, 0, 0, 0, 1), ((15, -8, 1), (-72, 34, -4))),
+    ParamKind.FVARLIFT: ((0, 0, 0, 0, 1), ((-3, 1), (14, -4))),
+    ParamKind.RVARLIFT: ((0, 0, 0, 0, 0, 1), ((-4, 1), (22, -5), (-18, 4))),
+    ParamKind.VARSHIFT: ((0, 0, 0, 1), ((-3, 1), (14, -4))),
+    ParamKind.UNSUSPENDED: (
+        (0, 1, 4, 14, 49, 175),
+        (
+            (15120, 138, -9061, 4823, -1019, 79),
+            (0, -131112, 134656, -55418, 10664, -790),
+            (-408240, 782946, -563289, 202287, -36471, 2607),
+            (756000, -1173108, 758854, -257612, 45026, -3160),
+            (-378000, 520998, -312099, 101097, -17181, 1185),
+            (-75600, 130422, -89351, 31303, -5569, 395),
+            (90720, -130284, 80290, -26480, 4550, -316),
+        ),
+    ),
+}
+
+
+def _poly_at(coeffs: tuple[int, ...], n: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * n + c
+    return acc
+
+
+def _recurrence_values(initial, polys) -> Iterator[int]:
+    """f(0), f(1), ... of one ``_RECURRENCES`` entry, run forward with divmod;
+    a non-zero remainder raises, so a wrong table never yields a value."""
+    yield from initial
+    lead, *rest = polys
+    window = list(initial[len(initial) - len(rest) :])  # f(k - r), ..., f(k - 1)
+    for k in count(len(initial)):
+        acc = sum(_poly_at(poly, k) * f for poly, f in zip(rest, reversed(window)))
+        value, remainder = divmod(-acc, _poly_at(lead, k))
+        if remainder:
+            raise ArithmeticError(f"a recurrence gives a non-integer total at n = {k}")
+        yield value
+        window.append(value)
+        del window[0]
+
+
+def _param_total(param: ParamKind, n: int) -> int:
+    """Parameter total over all size-n terms, from its recurrence."""
+    return next(islice(_recurrence_values(*_RECURRENCES[param]), n, None))
+
+
 def expected_param_exact(param: ParamKind, n: int) -> Fraction:
-    """Exact expectation of the parameter over uniform size-n terms."""
+    """Exact expectation of the parameter over uniform size-n terms,
+    from its recurrence in O(n) big-integer steps."""
     if n < 1:
         raise ValueError("n must be positive")
-    totals = _expectation_totals(_order_bucket(n))
-    return Fraction(totals[param].coefficient(n), count_terms(n))
+    return Fraction(_param_total(param, n), count_terms(n))
 
 
 def total_param_bruteforce(

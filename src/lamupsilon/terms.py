@@ -50,6 +50,40 @@ def _node_eq(self, other) -> bool:
     return True
 
 
+def _node_hash(self) -> int:
+    """Structural hash with explicit stacks, consistent with ``_node_eq``:
+    a pre-order list of the nodes, then a fold from the leaves up."""
+    nodes = []
+    stack = [self]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        kind = node.__class__
+        if kind is App:
+            stack.append(node.arg)
+            stack.append(node.fun)
+        elif kind is Closure:
+            stack.append(node.sub)
+            stack.append(node.body)
+        elif kind is Abs:
+            stack.append(node.body)
+        elif kind is Slash:
+            stack.append(node.term)
+        elif kind is Lift:
+            stack.append(node.sub)
+    hashes: list[int] = []
+    for node in reversed(nodes):
+        kind = node.__class__
+        if kind is App or kind is Closure:
+            first = hashes.pop()
+            hashes.append(hash((_HASH_TAGS[kind], first, hashes.pop())))
+        elif kind is Abs or kind is Slash or kind is Lift:
+            hashes.append(hash((_HASH_TAGS[kind], hashes.pop())))
+        else:
+            hashes.append(hash(node))
+    return hashes[0]
+
+
 @dataclass(frozen=True)
 class Index:
     """De Bruijn index; ``n`` must be non-negative."""
@@ -68,6 +102,7 @@ class Abs:
     body: "Term"
 
     __eq__ = _node_eq
+    __hash__ = _node_hash
 
 
 @dataclass(frozen=True)
@@ -78,6 +113,7 @@ class App:
     arg: "Term"
 
     __eq__ = _node_eq
+    __hash__ = _node_hash
 
 
 @dataclass(frozen=True)
@@ -88,6 +124,7 @@ class Closure:
     sub: "Subst"
 
     __eq__ = _node_eq
+    __hash__ = _node_hash
 
 
 @dataclass(frozen=True)
@@ -97,6 +134,7 @@ class Slash:
     term: "Term"
 
     __eq__ = _node_eq
+    __hash__ = _node_hash
 
 
 @dataclass(frozen=True)
@@ -106,6 +144,7 @@ class Lift:
     sub: "Subst"
 
     __eq__ = _node_eq
+    __hash__ = _node_hash
 
 
 @dataclass(frozen=True)
@@ -114,6 +153,9 @@ class Shift:
 
 
 SHIFT = Shift()
+
+#: Fixed per-type tags, so that hashes (and set orders) repeat across runs.
+_HASH_TAGS = {Abs: 1, App: 2, Closure: 3, Slash: 4, Lift: 5}
 
 Term = Index | Abs | App | Closure
 Subst = Slash | Lift | Shift

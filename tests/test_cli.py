@@ -1,12 +1,22 @@
 import io
 import json
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from lamupsilon import enumerate_terms, normalize, parse_term, render_term, size
+from lamupsilon import (
+    ParamKind,
+    enumerate_terms,
+    expected_param_exact,
+    normalize,
+    parse_term,
+    render_term,
+    size,
+)
 from lamupsilon import cli
 from lamupsilon.cli import main
 
@@ -196,6 +206,26 @@ def test_expect_unsuspended_size_one(capsys):
     code, out, _ = run_cli(capsys, "expect", "--param", "unsuspended", "--size", "1")
     assert code == 0
     assert out.splitlines() == ["1", "1"]
+
+
+def test_expect_scales_to_size_20000(capsys):
+    code, out, _ = run_cli(capsys, "expect", "--param", "beta", "--size", "20000")
+    assert code == 0
+    slope = Fraction(3, 64)
+    per_node = Fraction(out.splitlines()[0]) / 20000
+    at_2000 = expected_param_exact(ParamKind.BETA, 2000) / 2000
+    assert abs(per_node - slope) < abs(at_2000 - slope)
+
+
+def test_expect_prints_rationals_beyond_the_int_digit_limit(capsys):
+    # the size-8000 mean has a denominator of over 4300 digits, where str(int) stops
+    value = expected_param_exact(ParamKind.UNSUSPENDED, 8000)
+    code, out, _ = run_cli(capsys, "expect", "--param", "unsuspended", "--size", "8000")
+    assert code == 0
+    num, den = out.splitlines()[0].split("/")
+    assert len(den) > 4300
+    assert (Decimal(num), Decimal(den)) == (value.numerator, value.denominator)
+    assert out.splitlines()[1] == f"{float(value):.12g}"
 
 
 def test_expect_rejects_bad_size(capsys):

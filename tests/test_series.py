@@ -1,8 +1,11 @@
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
+from lamupsilon import series
+from lamupsilon.series import _expectation_totals
 from lamupsilon import (
     SHIFT,
     Abs,
@@ -217,6 +220,26 @@ def test_series_totals_equal_enumeration_totals():
             want = total_param_bruteforce(param, n)
             got = expected_param_exact(param, n) * count_terms(n)
             assert got.denominator == 1 and got.numerator == want
+
+
+def test_recurrences_equal_the_series_oracle():
+    # expected_param_exact(p, n) is the n-th value of this same run
+    totals = _expectation_totals(512)
+    for param in ParamKind:
+        run = series._recurrence_values(*series._RECURRENCES[param])
+        assert list(islice(run, 513)) == list(totals[param].coeffs), param
+        for n in (1, 7, 512):
+            got = expected_param_exact(param, n) * count_terms(n)
+            assert got == totals[param].coefficient(n), (param, n)
+
+
+def test_a_wrong_recurrence_raises_instead_of_returning(monkeypatch):
+    table = dict(series._RECURRENCES)
+    initial, ((c0, *lead), *rest) = table[ParamKind.BETA]
+    table[ParamKind.BETA] = (initial, ((c0 + 1, *lead), *rest))
+    monkeypatch.setattr(series, "_RECURRENCES", table)
+    with pytest.raises(ArithmeticError, match="non-integer"):
+        expected_param_exact(ParamKind.BETA, 40)
 
 
 def test_expectation_slope_direction():

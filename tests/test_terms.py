@@ -86,17 +86,27 @@ def test_structural_equality_and_hashing():
 def test_equality_agrees_with_canonical_text(a, b):
     assert (a == b) == (render_term(a) == render_term(b))
     assert (a != b) == (render_term(a) != render_term(b))
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def _tower(bottom):
+    node = bottom
+    for _ in range(100_000):
+        node = Closure(Abs(node), Lift(SHIFT))
+    return node
 
 
 def test_very_deep_terms_compare(default_recursion_limit):
-    def tower(bottom):
-        node = bottom
-        for _ in range(100_000):
-            node = Closure(Abs(node), Lift(SHIFT))
-        return node
+    assert _tower(Index(0)) == _tower(Index(0))
+    assert _tower(Index(0)) != _tower(Index(1))
 
-    assert tower(Index(0)) == tower(Index(0))
-    assert tower(Index(0)) != tower(Index(1))
+
+def test_very_deep_terms_hash(default_recursion_limit):
+    zero, one = _tower(Index(0)), _tower(Index(1))
+    assert hash(zero) == hash(_tower(Index(0)))
+    seen = {zero: "zero", one: "one"}
+    assert len(seen) == 2 and seen[_tower(Index(0))] == "zero"
 
 
 def test_child_ordering():
