@@ -14,7 +14,7 @@ import sys
 from decimal import Decimal
 
 from .rewrite import BudgetExceeded, normalize, trace_to_json
-from .series import ParamKind, count_substs, count_terms, expected_param_exact
+from .series import ParamKind, expected_param_exact
 from .stats import NESTED, default_comparisons, export_report, run_experiment
 from .syntax import ParseError, parse_term, render_term
 from .trees import Rng, sample_term
@@ -81,12 +81,22 @@ def _read_term_text(args) -> str | None:
     return args.term
 
 
+def _int_text(k: int) -> str:
+    """Decimal digits of k at any length (str() of an int stops at 4300)."""
+    return str(Decimal(k))
+
+
 def _cmd_count(args) -> int:
     if args.max_size < 1:
         return _usage_error("--max-size must be at least 1")
-    counter = count_terms if args.kind == "term" else count_substs
+    # one forward pass: C(n+1) = C(n) 2(2n+1)/(n+2), and the substitutions of
+    # size n number C(0) + ... + C(n-1); terms of size n number C(n), n >= 1
+    catalan_n, partial_sum = 1, 0
     for n in range(args.max_size + 1):
-        print(f"{n},{counter(n)}")
+        value = (catalan_n if n else 0) if args.kind == "term" else partial_sum
+        print(f"{n},{_int_text(value)}")
+        partial_sum += catalan_n
+        catalan_n = catalan_n * 2 * (2 * n + 1) // (n + 2)
     return 0
 
 
@@ -168,8 +178,7 @@ def _cmd_expect(args) -> int:
     if args.size < 1:
         return _usage_error("--size must be at least 1")
     value = expected_param_exact(ParamKind(args.param), args.size)
-    # str() of an int stops at 4300 digits; a Decimal prints any length.
-    num, den = (str(Decimal(k)) for k in (value.numerator, value.denominator))
+    num, den = _int_text(value.numerator), _int_text(value.denominator)
     print(num if den == "1" else f"{num}/{den}")
     print(f"{float(value):.12g}")
     return 0

@@ -1,14 +1,25 @@
 """Exact enumeration, truncated power-series solutions and P-recurrences.
 
 ``expected_param_exact`` serves each parameter total from an exact-integer
-P-recurrence (``_RECURRENCES``), run forward in O(n) big-integer steps.
-Two independent oracles stand behind it: degree-by-degree fixpoint
-solutions of the defining generating-function systems (every right-hand
-side carries a factor z, so degree k depends only on degrees below k;
-O(n**2)), and brute-force term enumeration.  ``nested_free_fraction``
-still reads the restricted series, for which no recurrence is known.  All
-arithmetic is exact: big integers for counts and totals, and
-``fractions.Fraction`` only at the final expectation/ratio step.
+P-recurrence (``_RECURRENCES``), and ``nested_free_fraction`` serves the
+count of nested-free terms from one more (``_NESTED_FREE_RECURRENCE``);
+both run forward in O(n) big-integer steps through one loop.  Two
+independent oracles stand behind them: degree-by-degree fixpoint solutions
+of the defining generating-function systems (every right-hand side carries
+a factor z, so degree k depends only on degrees below k; O(n**2)), and
+brute-force term enumeration.  All arithmetic is exact: big integers for
+counts and totals, and ``fractions.Fraction`` only at the final
+expectation/ratio step.
+
+The nested-free generating function T~ is algebraic of degree 4: it is a
+root of a quadratic over Q(z)(P), where P is itself quadratic over Q(z).
+``tools/derive_recurrences.py`` writes T~ in that tower of square roots,
+takes the Q(z)-linear relation among 1, T~ and its first three
+derivatives (an inhomogeneous ODE of order 3 and degree 39, the
+``algeqtodiffeq`` step of Salvy and Zimmermann's GFUN), turns it into the
+order-37, degree-3 recurrence below (``diffeqtorec``), and checks it
+against ``solve_restricted_series`` to order 2048; the derivation takes
+about a second.
 """
 
 from __future__ import annotations
@@ -192,15 +203,6 @@ def solve_restricted_series(order: int) -> tuple[Series, Series, Series]:
     return Series(p), Series(sbar), Series(tbar)
 
 
-def nested_free_fraction(n: int) -> Fraction:
-    """Exact share of size-n terms without any nested substitution."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    order = _order_bucket(n)
-    _, _, tbar = solve_restricted_series(order)
-    return Fraction(tbar.coefficient(n), count_terms(n))
-
-
 #: Default cap for exhaustive enumeration (level 10 is about 16.8k terms).
 ENUMERATION_BOUND = 10
 
@@ -275,14 +277,6 @@ def param_value(term: Term, param: ParamKind) -> int:
     return count_all_redexes(term)[param.rule_kind]
 
 
-def _order_bucket(n: int) -> int:
-    """Power-of-two order >= n, so repeated queries share one solution."""
-    order = 64
-    while order < n:
-        order *= 2
-    return order
-
-
 def _expectation_totals(order: int) -> dict[ParamKind, Series]:
     """Series whose n-th coefficient is the parameter total over all
     size-n terms (the u-derivative at u=1 of each marked system).
@@ -354,6 +348,61 @@ _RECURRENCES: dict[ParamKind, tuple[tuple[int, ...], tuple[tuple[int, ...], ...]
 }
 
 
+#: The same format for the counts of nested-free terms, the coefficients of
+#: T~ in ``solve_restricted_series``: the order-37 recurrence that
+#: ``tools/derive_recurrences.py`` derives from T~'s algebraic equation.
+_NESTED_FREE_RECURRENCE: tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] = (
+    (
+        0, 1, 2, 5, 14, 42, 131, 420, 1375, 4577, 15444, 52705, 181593, 630824, 2207020,
+        7769814, 27504721, 97844219, 349602929, 1254124532, 4515151675, 16309180798,
+        59088088306, 214669521159, 781898822706, 2854683707273, 10445257635613,
+        38297298411106, 140684300533775, 517723718264463, 1908432596149266,
+        7045920181428490, 26051959558401171, 96460149091802540, 357623817728712774,
+        1327531221974716627, 4933715663122545310,
+    ),
+    (
+        (0, -6, -3, 3),
+        (0, -327, 444, -117),
+        (-15288, 27130, -13977, 2117),
+        (628422, -664502, 222519, -23617),
+        (-11518476, 8892269, -2231436, 182095),
+        (126193146, -77305360, 15567678, -1031000),
+        (-930909102, 474120591, -79830573, 4445202),
+        (4925391444, -2149602432, 311098050, -14932986),
+        (-19400202096, 7412060939, -940588962, 39647623),
+        (58187948922, -19774428931, 2233705734, -83861837),
+        (-134730416844, 41225350414, -4193316492, 141756530),
+        (243075928812, -67573590927, 6241702755, -191485950),
+        (-345893599140, 87822795425, -7401046275, 206870992),
+        (400407056880, -92808053703, 7126459302, -181069311),
+        (-407436025602, 85499560247, -5924759076, 135256927),
+        (412563132090, -77704292595, 4807179750, -97226637),
+        (-441956840904, 75288587319, -4189110465, 75560508),
+        (463710883572, -72692978436, 3708285846, -60983382),
+        (-428833945632, 62509491894, -2954705229, 44773929),
+        (324575932878, -43938988404, 1915013376, -26421102),
+        (-183596196600, 22357629496, -851604291, 9653861),
+        (58494742854, -4891314071, 64500408, 1691477),
+        (20409135564, -5054056052, 334672176, -6679504),
+        (-59350464270, 9135943572, -458923275, 7557315),
+        (70301430516, -9588867393, 433576212, -6502179),
+        (-58963262064, 7530546651, -319790916, 4515681),
+        (39461182386, -4796043303, 194022114, -2612517),
+        (-24707736264, 2857814496, -110136018, 1414110),
+        (14578446612, -1609560991, 59241546, -726839),
+        (-7122173124, 755352438, -26708910, 314856),
+        (3139265100, -320216410, 10890543, -123491),
+        (-1469333868, 144442093, -4733829, 51722),
+        (563390676, -53597187, 1699476, -17961),
+        (-157425438, 14522093, -446412, 4573),
+        (53383074, -4814523, 144690, -1449),
+        (-14848656, 1309783, -38496, 377),
+        (1034892, -87283, 2454, -23),
+        (-194472, 15986, -438, 4),
+    ),
+)
+
+
 def _poly_at(coeffs: tuple[int, ...], n: int) -> int:
     acc = 0
     for c in reversed(coeffs):
@@ -362,7 +411,7 @@ def _poly_at(coeffs: tuple[int, ...], n: int) -> int:
 
 
 def _recurrence_values(initial, polys) -> Iterator[int]:
-    """f(0), f(1), ... of one ``_RECURRENCES`` entry, run forward with divmod;
+    """f(0), f(1), ... of one recurrence table entry, run forward with divmod;
     a non-zero remainder raises, so a wrong table never yields a value."""
     yield from initial
     lead, *rest = polys
@@ -377,9 +426,9 @@ def _recurrence_values(initial, polys) -> Iterator[int]:
         del window[0]
 
 
-def _param_total(param: ParamKind, n: int) -> int:
-    """Parameter total over all size-n terms, from its recurrence."""
-    return next(islice(_recurrence_values(*_RECURRENCES[param]), n, None))
+def _nth_value(entry, n: int) -> int:
+    """f(n) of one recurrence table entry, from its forward run."""
+    return next(islice(_recurrence_values(*entry), n, None))
 
 
 def expected_param_exact(param: ParamKind, n: int) -> Fraction:
@@ -387,7 +436,15 @@ def expected_param_exact(param: ParamKind, n: int) -> Fraction:
     from its recurrence in O(n) big-integer steps."""
     if n < 1:
         raise ValueError("n must be positive")
-    return Fraction(_param_total(param, n), count_terms(n))
+    return Fraction(_nth_value(_RECURRENCES[param], n), count_terms(n))
+
+
+def nested_free_fraction(n: int) -> Fraction:
+    """Exact share of size-n terms without any nested substitution,
+    from the T~ recurrence in O(n) big-integer steps."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return Fraction(_nth_value(_NESTED_FREE_RECURRENCE, n), count_terms(n))
 
 
 def total_param_bruteforce(

@@ -14,7 +14,6 @@ import io
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -189,6 +188,9 @@ def run_experiment(
     if workers == 1 or m < 4 * workers:
         parts = [_accumulate(n, seed, 0, m, names)]
     else:
+        # imported here: loading multiprocessing costs every command start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         bounds = [m * w // workers for w in range(workers + 1)]
         jobs = [(n, seed, bounds[w], bounds[w + 1], names) for w in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:

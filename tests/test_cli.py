@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from lamupsilon import (
     ParamKind,
+    count_substs,
+    count_terms,
     enumerate_terms,
     expected_param_exact,
     normalize,
@@ -51,6 +53,26 @@ def test_count_substs_golden(capsys):
 def test_count_rejects_zero(capsys):
     code, _, err = run_cli(capsys, "count", "--max-size", "0")
     assert code == 2 and "max-size" in err
+
+
+@pytest.mark.parametrize("kind, counter", [("term", count_terms), ("subst", count_substs)])
+def test_count_rows_equal_the_library_counts(capsys, kind, counter):
+    code, out, _ = run_cli(capsys, "count", "--max-size", "500", "--kind", kind)
+    assert code == 0
+    assert out.endswith("\n")
+    assert out.splitlines() == [f"{n},{counter(n)}" for n in range(501)]
+
+
+def test_count_prints_past_the_int_digit_limit(capsys):
+    # Catalan(7153) is the first count with more than 4300 digits, where str(int) stops
+    code, out, _ = run_cli(capsys, "count", "--max-size", "7160")
+    assert code == 0
+    rows = out.splitlines()
+    assert len(rows) == 7161
+    n, digits = rows[7153].split(",")
+    assert n == "7153" and len(digits) > 4300
+    assert Decimal(digits) == count_terms(7153)
+    assert Decimal(rows[-1].split(",")[1]) == count_terms(7160)
 
 
 def test_sample_size_one(capsys):

@@ -194,6 +194,24 @@ def test_nested_free_fraction_values():
         nested_free_fraction(0)
 
 
+def test_nested_free_recurrence_equals_the_series_oracle():
+    # nested_free_fraction(n) is the n-th value of this same run over Catalan(n)
+    _, _, tbar = solve_restricted_series(512)
+    run = series._recurrence_values(*series._NESTED_FREE_RECURRENCE)
+    assert list(islice(run, 513)) == list(tbar.coeffs)
+    _, _, tbar = solve_restricted_series(1025)
+    for n in (1, 7, 512, 1025):
+        assert nested_free_fraction(n) * count_terms(n) == tbar.coefficient(n), n
+
+
+def test_a_wrong_nested_free_recurrence_raises_instead_of_returning(monkeypatch):
+    initial, (lead, (c0, *rest), *polys) = series._NESTED_FREE_RECURRENCE
+    wrong = (initial, (lead, (c0 + 1, *rest), *polys))
+    monkeypatch.setattr(series, "_NESTED_FREE_RECURRENCE", wrong)
+    with pytest.raises(ArithmeticError, match="non-integer"):
+        nested_free_fraction(100)
+
+
 def test_nested_free_fraction_monotone_from_five():
     values = [nested_free_fraction(n) for n in range(5, 201)]
     assert all(b <= a for a, b in zip(values, values[1:]))

@@ -1,6 +1,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -53,10 +56,32 @@ def test_experiment_is_reproducible():
     assert a == b
 
 
-def test_experiment_is_worker_count_independent():
+def test_experiment_is_worker_count_independent(monkeypatch):
+    import concurrent.futures
+
+    pools = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    # run_experiment imports the pool class only when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     serial = run_experiment(10, 48, 7, [ParamKind.BETA, NESTED], workers=1)
+    assert pools == []
     forked = run_experiment(10, 48, 7, [ParamKind.BETA, NESTED], workers=2)
+    assert pools == [{"max_workers": 2}]
     assert serial == forked
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    code = "import sys, lamupsilon; print('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "False\n"
 
 
 def test_worker_count_comes_from_environment(monkeypatch):
