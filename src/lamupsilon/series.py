@@ -157,8 +157,15 @@ def count_terms(n: int) -> int:
 
 
 def count_substs(n: int) -> int:
-    """Number of substitutions of size n: the partial Catalan sum below n."""
-    return sum(catalan(k) for k in range(n))
+    """Number of substitutions of size n: the partial Catalan sum below n.
+
+    One pass with the step Catalan(k+1) = Catalan(k) * 2(2k+1) / (k+2).
+    """
+    total, catalan_k = 0, 1
+    for k in range(n):
+        total += catalan_k
+        catalan_k = catalan_k * 2 * (2 * k + 1) // (k + 2)
+    return total
 
 
 @lru_cache(maxsize=None)

@@ -104,6 +104,12 @@ def test_count_substs_is_partial_catalan_sum():
         assert count_substs(n) == sum(catalan(k) for k in range(n))
 
 
+def test_count_substs_is_partial_catalan_sum_at_large_n():
+    partial_sum = sum(catalan(k) for k in range(2000))
+    assert count_substs(2000) == partial_sum
+    assert count_substs(2001) == partial_sum + catalan(2000)
+
+
 def test_solved_series_match_closed_forms():
     t, s, n = solve_core_series(64)
     assert t.coeffs[:6] == (0, 1, 2, 5, 14, 42)

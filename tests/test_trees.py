@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from lamupsilon import (
     SHIFT,
     Abs,
+    App,
     BinTree,
     Closure,
     Index,
@@ -125,6 +126,55 @@ def test_deep_index_chains_round_trip():
     assert phi(tree) == t
 
 
+def _left_tower(depth):
+    tree = LEAF
+    for _ in range(depth):
+        tree = BinTree(left=tree)
+    return tree
+
+
+@given(skeletons, skeletons)
+def test_skeleton_equality_agrees_with_json(a, b):
+    assert (a == b) == (tree_to_json(a) == tree_to_json(b))
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_very_deep_skeletons_compare_and_hash(default_recursion_limit):
+    tower = _left_tower(100_000)
+    assert tower == _left_tower(100_000) and tower != _left_tower(99_999)
+    seen = {tower: "tower", _left_tower(99_999): "shorter"}
+    assert len(seen) == 2 and seen[_left_tower(100_000)] == "tower"
+
+
+def test_very_deep_phi_inv(default_recursion_limit):
+    # alternating binders and slash closures, 100 000 constructors deep
+    t = Index(0)
+    for i in range(50_000):
+        t = Closure(Abs(t), Lift(Slash(Index(i % 3)))) if i % 2 else App(Abs(t), Index(0))
+    tree = phi_inv(t)
+    assert node_count(tree) == size(t)
+    assert phi(tree) == t
+
+
+def test_very_deep_tree_to_json(default_recursion_limit):
+    data = tree_to_json(_left_tower(100_000))
+    depth = 0
+    while data["l"] is not None:
+        assert data["r"] is None
+        data, depth = data["l"], depth + 1
+    assert depth == 100_000 and data == {"l": None, "r": None}
+
+
+def test_very_deep_tree_from_json(default_recursion_limit):
+    data = {"l": None, "r": None}
+    for i in range(100_000):
+        data = {"l": data, "r": None} if i % 2 else {"l": None, "r": data}
+    tree = tree_from_json(data)
+    assert node_count(tree) == 100_001
+    assert phi_inv(phi(tree)) == tree
+
+
 def test_tree_json_round_trip():
     tree = BinTree(BinTree(right=LEAF), LEAF)
     encoded = tree_to_json(tree)
@@ -233,6 +283,72 @@ def test_sample_term_sizes_exact():
     for i in range(40):
         n = 1 + (i * 37) % 240
         assert size(sample_term(n, Rng.derived(9999, i))) == n
+
+
+# --- the fused sampler against its reference ---------------------------
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _reference(n, rng):
+    return phi(remy_tree(n, rng))
+
+
+def _unxorshift(y, shift):
+    x = y
+    for _ in range(64 // shift + 1):
+        x = y ^ (x >> shift)
+    return x
+
+
+def _unmix64(value):
+    """Inverse of the SplitMix64 finalizer."""
+    x = _unxorshift(value, 31)
+    x = x * pow(0x94D049BB133111EB, -1, 1 << 64) & _MASK64
+    x = _unxorshift(x, 27)
+    x = x * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & _MASK64
+    return _unxorshift(x, 30)
+
+
+def test_unmix64_inverts_the_generator():
+    for seed in (0, 1, 2**63, _MASK64):
+        word = Rng(seed).next_u64()
+        assert Rng((_unmix64(word) - _GOLDEN) & _MASK64).next_u64() == word
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2024])
+def test_fused_sampler_matches_reference(seed):
+    for n in [*range(1, 65), 1000]:
+        for i in range(20):
+            fused, ref = Rng.derived(seed, i), Rng.derived(seed, i)
+            assert sample_term(n, fused) == _reference(n, ref), (n, i)
+            assert fused.next_u64() == ref.next_u64()
+
+
+def test_fused_sampler_matches_reference_on_a_shared_stream():
+    for seed in (0, 77):
+        fused, ref = Rng(seed), Rng(seed)
+        for n in [*range(1, 65), 1000, 1000, 1, 1000]:
+            assert sample_term(n, fused) == _reference(n, ref)
+            assert fused._state == ref._state
+
+
+def test_fused_sampler_rejects_like_the_reference():
+    # Craft streams whose draw at grafting step k lands just below, at, or
+    # above the rejection limit of its bound 2k-1 (draw 2(k-1) of the
+    # stream when nothing was rejected before).
+    for k in [*range(1, 41), 500, 999, 1000]:
+        bound = 2 * k - 1
+        limit = (1 << 64) - (1 << 64) % bound
+        for word in {limit - 1, limit, _MASK64} - {1 << 64}:
+            start = (_unmix64(word) - (2 * k - 1) * _GOLDEN) & _MASK64
+            n = max(k, 40)
+            fused, ref = Rng(start), Rng(start)
+            assert sample_term(n, fused) == _reference(n, ref), (k, word)
+            assert fused._state == ref._state
+            rejected = ref._state != (start + 2 * n * _GOLDEN) & _MASK64
+            assert rejected == (word >= limit)
 
 
 def test_deep_samples_match_the_recursive_translation(default_recursion_limit):
