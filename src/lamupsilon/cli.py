@@ -14,10 +14,10 @@ import sys
 from decimal import Decimal
 
 from .rewrite import BudgetExceeded, normalize, trace_to_json
-from .series import ParamKind, expected_param_exact
+from .series import ParamKind, _catalans, expected_param_exact
 from .stats import NESTED, default_comparisons, export_report, run_experiment
 from .syntax import ParseError, parse_term, render_term
-from .trees import Rng, sample_term
+from .trees import InvalidSize, Rng, sample_term
 from .verify import DEFAULT_SUITE_SIZES, SUITES
 
 _PARAM_NAMES = [p.value for p in ParamKind] + [NESTED]
@@ -89,14 +89,13 @@ def _int_text(k: int) -> str:
 def _cmd_count(args) -> int:
     if args.max_size < 1:
         return _usage_error("--max-size must be at least 1")
-    # one forward pass: C(n+1) = C(n) 2(2n+1)/(n+2), and the substitutions of
-    # size n number C(0) + ... + C(n-1); terms of size n number C(n), n >= 1
-    catalan_n, partial_sum = 1, 0
-    for n in range(args.max_size + 1):
+    # one forward pass: the substitutions of size n number C(0) + ... + C(n-1);
+    # terms of size n number C(n), n >= 1
+    partial_sum = 0
+    for n, catalan_n in zip(range(args.max_size + 1), _catalans()):
         value = (catalan_n if n else 0) if args.kind == "term" else partial_sum
         print(f"{n},{_int_text(value)}")
         partial_sum += catalan_n
-        catalan_n = catalan_n * 2 * (2 * n + 1) // (n + 2)
     return 0
 
 
@@ -105,10 +104,13 @@ def _cmd_sample(args) -> int:
         return _usage_error("--size must be at least 1")
     if args.count < 1:
         return _usage_error("--count must be at least 1")
-    rendered = [
-        render_term(sample_term(args.size, Rng.derived(args.seed, i)))
-        for i in range(args.count)
-    ]
+    try:
+        rendered = [
+            render_term(sample_term(args.size, Rng.derived(args.seed, i)))
+            for i in range(args.count)
+        ]
+    except InvalidSize as err:  # too large to sample
+        return _usage_error(str(err))
     if args.format == "json":
         print(json.dumps(rendered))
     else:
@@ -162,7 +164,7 @@ def _cmd_stats(args) -> int:
         return _usage_error("no parameters requested")
     try:
         summaries = run_experiment(args.size, args.samples, args.seed, params)
-    except ValueError as err:  # the arguments passed the checks above: bad UPSILON_THREADS
+    except ValueError as err:  # a size too large to sample, or bad UPSILON_THREADS
         return _usage_error(str(err))
     comparisons = {name: default_comparisons(s) for name, s in summaries.items()}
     export_report(

@@ -29,7 +29,6 @@ from .terms import (
     Term,
     children,
     is_pure,
-    iter_subterms,
     replace_at,
     size,
     subterm_at,
@@ -143,13 +142,22 @@ def apply_at(term: Term, redex: Redex) -> Term:
 
 
 def find_redexes(term: Term, kinds: Optional[Iterable[RuleKind]] = None) -> list[Redex]:
-    """All redexes whose kind is in ``kinds`` (default: all), in pre-order."""
+    """All redexes whose kind is in ``kinds`` (default: all), in pre-order.
+
+    The walk keeps one path of child ordinals and copies it only for a
+    redex, so a call costs the size of the term plus the depth of each
+    redex found, not the depth of every node."""
     wanted = ALL_RULES if kinds is None else frozenset(kinds)
-    return [
-        Redex(pos, kind)
-        for pos, node in iter_subterms(term)
-        if (kind := match_redex(node)) in wanted
-    ]
+    found, path, stack = [], [], [(term, 0, 0)]  # (node, depth, ordinal)
+    while stack:
+        node, depth, ordinal = stack.pop()
+        path[depth:] = (ordinal,)  # path[0] stands for the root
+        if (kind := match_redex(node)) in wanted:
+            found.append(Redex(tuple(path[1:]), kind))
+        kids = children(node)
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append((kids[i], depth + 1, i))
+    return found
 
 
 def count_redexes(term: Term, kind: RuleKind) -> int:

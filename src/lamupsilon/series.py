@@ -156,16 +156,17 @@ def count_terms(n: int) -> int:
     return 0 if n == 0 else catalan(n)
 
 
-def count_substs(n: int) -> int:
-    """Number of substitutions of size n: the partial Catalan sum below n.
-
-    One pass with the step Catalan(k+1) = Catalan(k) * 2(2k+1) / (k+2).
-    """
-    total, catalan_k = 0, 1
-    for k in range(n):
-        total += catalan_k
+def _catalans() -> Iterator[int]:
+    """Catalan(0), Catalan(1), ... by the step C(k+1) = C(k) 2(2k+1)/(k+2)."""
+    catalan_k = 1
+    for k in count():
+        yield catalan_k
         catalan_k = catalan_k * 2 * (2 * k + 1) // (k + 2)
-    return total
+
+
+def count_substs(n: int) -> int:
+    """Number of substitutions of size n: the partial Catalan sum below n."""
+    return sum(islice(_catalans(), max(n, 0)))
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,7 @@ integers).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 def _node_eq(self, other) -> bool:
@@ -84,7 +84,26 @@ def _node_hash(self) -> int:
     return hashes[0]
 
 
-@dataclass(frozen=True)
+def _node_repr(self) -> str:
+    """The dataclass-generated ``repr`` text, built with an explicit stack
+    and joined once, so it takes linear time at any depth; shared by every
+    node type and by ``trees.BinTree``."""
+    out, stack = [], [self]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            out.append(item)
+            continue
+        pieces = [f"{item.__class__.__qualname__}("]
+        for i, field in enumerate(fields(item)):
+            value = getattr(item, field.name)
+            shared = type(value).__repr__ is _node_repr
+            pieces += (f"{', ' if i else ''}{field.name}=", value if shared else repr(value))
+        stack += reversed(pieces + [")"])
+    return "".join(out)
+
+
+@dataclass(frozen=True, repr=False)
 class Index:
     """De Bruijn index; ``n`` must be non-negative."""
 
@@ -94,8 +113,10 @@ class Index:
         if self.n < 0:
             raise ValueError("de Bruijn indices must be non-negative")
 
+    __repr__ = _node_repr
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, repr=False)
 class Abs:
     """Abstraction (binder)."""
 
@@ -103,9 +124,10 @@ class Abs:
 
     __eq__ = _node_eq
     __hash__ = _node_hash
+    __repr__ = _node_repr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class App:
     """Application, left-associative in the concrete syntax."""
 
@@ -114,9 +136,10 @@ class App:
 
     __eq__ = _node_eq
     __hash__ = _node_hash
+    __repr__ = _node_repr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Closure:
     """A term with a suspended substitution: ``body[sub]``."""
 
@@ -125,9 +148,10 @@ class Closure:
 
     __eq__ = _node_eq
     __hash__ = _node_hash
+    __repr__ = _node_repr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Slash:
     """Substitution of ``term`` for index 0."""
 
@@ -135,9 +159,10 @@ class Slash:
 
     __eq__ = _node_eq
     __hash__ = _node_hash
+    __repr__ = _node_repr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Lift:
     """Substitution adjusted to pass under one binder."""
 
@@ -145,11 +170,14 @@ class Lift:
 
     __eq__ = _node_eq
     __hash__ = _node_hash
+    __repr__ = _node_repr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Shift:
     """Increment all free indices by one."""
+
+    __repr__ = _node_repr
 
 
 SHIFT = Shift()

@@ -12,110 +12,90 @@ the SplitMix64 draws into the grafting loop and translates the grafting
 arrays straight to the term, with no ``BinTree`` in between.  It returns
 the same term as ``phi(remy_tree(n, rng))`` and leaves ``rng`` in the same
 state; ``remy_tree`` and ``phi`` stay as the reference it is tested
-against.  Every walk here uses an explicit stack, so depth is limited by
-memory only, never by the recursion limit.
+against.
+
+Every walk over a ``BinTree`` goes through its shape code: the pre-order
+list (left subtree before right) of per-node codes ``2*(has left) + (has
+right)``.  It is a prefix code, so it determines the tree.  ``_shape``
+reads the code off a tree and ``_from_shape`` builds a tree from one;
+equality, hashing, ``node_count``, the JSON form, ``phi``, ``phi_inv`` and
+Rémy's leaf erasure all speak codes.  Both walks use an explicit stack, so
+depth is limited by memory only, never by the recursion limit.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter, itemgetter
 from typing import Optional
 
-from .terms import SHIFT, Abs, App, Closure, Index, Lift, Shift, Slash, Term
+from .terms import SHIFT, Abs, App, Closure, Index, Lift, Shift, Slash, Term, _node_repr
 
 
 class InvalidSize(ValueError):
     """There is no structure of the requested size."""
 
 
-def _preorder(tree: "BinTree") -> list["BinTree"]:
-    """The nodes of ``tree`` in pre-order, left subtree before right."""
-    nodes, stack = [], [tree]
-    while stack:
-        node = stack.pop()
-        nodes.append(node)
-        if node.right is not None:
-            stack.append(node.right)
-        if node.left is not None:
-            stack.append(node.left)
-    return nodes
-
-
-def _tree_eq(self, other) -> bool:
-    """Structural equality with an explicit stack (like ``terms._node_eq``)."""
-    if other.__class__ is not self.__class__:
-        return NotImplemented
-    stack = [(self, other)]
-    while stack:
-        a, b = stack.pop()
-        if a is b:
-            continue
-        if a is None or b is None:
-            return False
-        stack.append((a.right, b.right))
-        stack.append((a.left, b.left))
-    return True
-
-
-def _tree_hash(self) -> int:
-    """Structural hash folded bottom-up over the pre-order (like
-    ``terms._node_hash``); a missing child hashes as the fixed tag 0, so
-    hashes repeat across runs."""
-    hashes: list[int] = []
-    for node in reversed(_preorder(self)):
-        left = 0 if node.left is None else hashes.pop()
-        right = 0 if node.right is None else hashes.pop()
-        hashes.append(hash((left, right)))
-    return hashes[0]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class BinTree:
     left: Optional["BinTree"] = None
     right: Optional["BinTree"] = None
 
-    __eq__ = _tree_eq
-    __hash__ = _tree_hash
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or _shape(self) == _shape(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(_shape(self)))  # ints only, so it repeats across runs
+
+    __repr__ = _node_repr
 
 
 LEAF = BinTree()
 
 
+def _shape(root, children=attrgetter("left", "right")) -> list[int]:
+    """The shape code of a skeleton: per node ``2*(has left) + (has right)``,
+    in pre-order with the left subtree before the right.  ``children`` maps
+    a node to its (left, right) pair, with None for no child."""
+    codes, stack = [], [root]
+    while stack:
+        left, right = children(stack.pop())
+        codes.append(2 * (left is not None) + (right is not None))
+        if right is not None:
+            stack.append(right)
+        if left is not None:
+            stack.append(left)
+    return codes
+
+
+def _from_shape(codes: list[int], make=BinTree):
+    """The skeleton of a shape code, built bottom-up by ``make(left, right)``."""
+    built: list = []  # a left subtree lies above its sibling
+    for code in reversed(codes):
+        left = built.pop() if code & 2 else None
+        built.append(make(left, built.pop() if code & 1 else None))
+    return built[0]
+
+
 def node_count(tree: BinTree) -> int:
-    return len(_preorder(tree))
+    return len(_shape(tree))
 
 
 def tree_to_json(tree: Optional[BinTree]):
     """Nested ``{"l": ..., "r": ...}`` objects with null for no child."""
     if tree is None:
         return None
-    top = {"l": None, "r": None}
-    stack = [(tree, top)]
-    while stack:
-        node, out = stack.pop()
-        for key, child in (("l", node.left), ("r", node.right)):
-            if child is not None:
-                out[key] = {"l": None, "r": None}
-                stack.append((child, out[key]))
-    return top
+    return _from_shape(_shape(tree), lambda left, right: {"l": left, "r": right})
 
 
 def tree_from_json(data) -> Optional[BinTree]:
     if data is None:
         return None
-    items, stack = [], [data]  # pre-order, left subtree before right
-    while stack:
-        item = stack.pop()
-        items.append(item)
-        for child in (item["r"], item["l"]):
-            if child is not None:
-                stack.append(child)
-    built: list[BinTree] = []  # a left subtree's tree lies above its sibling's
-    for item in reversed(items):
-        left = None if item["l"] is None else built.pop()
-        built.append(BinTree(left, None if item["r"] is None else built.pop()))
-    return built[0]
+    return _from_shape(_shape(data, itemgetter("l", "r")))
 
 
 @lru_cache(maxsize=None)
@@ -182,83 +162,88 @@ class Rng:
                 return x % bound
 
 
-def phi(tree: BinTree) -> Term:
-    """Translate a skeleton to the term of the same size.
-
-    A lone node is index 0; two children make an application; only a
-    right child makes a binder.  A maximal chain of only-left nodes adds
-    successors over a leaf anchor, or wraps lifts around the closure
-    produced by a right-only or two-child anchor.  A pre-order walk finds
-    the chains, and a reverse fold builds the terms bottom-up.
-    """
-    plan, stack = [], [tree]  # plan: (chain length, anchor) in pre-order
-    while stack:
-        node, chain = stack.pop(), 0
-        while node.right is None and node.left is not None:
-            node, chain = node.left, chain + 1
-        plan.append((chain, node))
-        if node.right is not None:
-            stack += (node.right,) if node.left is None else (node.right, node.left)
+def _fold(plan: list[tuple[int, int]]) -> Term:
+    """The term of a translation plan: (chain length, anchor code) pairs in
+    pre-order, built bottom-up.  A leaf anchor (code 0) under a chain of k
+    makes the index k; a right-only (1) or two-child (3) anchor makes a
+    binder or an application, or under a chain of k >= 1 a closure with a
+    shift or slash base wrapped in k - 1 lifts."""
     built: list[Term] = []  # a left subtree's term lies above its sibling's
-    for chain, node in reversed(plan):
-        if node.right is None:
+    for chain, kind in reversed(plan):
+        if not kind:
             built.append(Index(chain))
         elif not chain:
             top = built.pop()
-            built.append(Abs(top) if node.left is None else App(top, built.pop()))
+            built.append(Abs(top) if kind == 1 else App(top, built.pop()))
         else:
             base = built.pop()
-            sub = SHIFT if node.left is None else Slash(built.pop())
+            sub = SHIFT if kind == 1 else Slash(built.pop())
             for _ in range(chain - 1):
                 sub = Lift(sub)
             built.append(Closure(base, sub))
     return built[0]
 
 
-def _strip_lifts(sub) -> tuple[int, object]:
-    """The number of lifts around a substitution, and what they wrap."""
-    lifts = 0
-    while isinstance(sub, Lift):
-        lifts, sub = lifts + 1, sub.sub
-    return lifts, sub
+def phi(tree: BinTree) -> Term:
+    """Translate a skeleton to the term of the same size.
+
+    A lone node is index 0; two children make an application; only a
+    right child makes a binder.  A maximal chain of only-left nodes adds
+    successors over a leaf anchor, or wraps lifts around the closure
+    produced by a right-only or two-child anchor.  In the shape code such
+    a chain is a run of 2s followed by its anchor's code.
+    """
+    plan, chain = [], 0
+    for code in _shape(tree):
+        if code == 2:
+            chain += 1
+        else:
+            plan.append((chain, code))
+            chain = 0
+    return _fold(plan)
 
 
 def phi_inv(term: Term) -> BinTree:
     """Inverse translation; ``phi(phi_inv(t)) == t``.
 
-    A pre-order walk lists the terms (a closure's slash payload after its
-    body), and a reverse fold builds the skeletons bottom-up.
+    One pre-order walk of the term emits the shape code: ``Index(k)`` is
+    k 2s and a 0; a binder is 1 and an application 3 before their
+    children; a closure with j lifts is j + 1 2s, then 1 before its body
+    for a shift base, or 3 before its body and the slash payload.
     """
-    order, stack = [], [term]
+    codes, stack = [], [term]
     while stack:
         t = stack.pop()
-        order.append(t)
-        if isinstance(t, Abs):
+        if isinstance(t, Index):
+            codes += [2] * t.n + [0]
+        elif isinstance(t, Abs):
+            codes.append(1)
             stack.append(t.body)
         elif isinstance(t, App):
+            codes.append(3)
             stack += (t.arg, t.fun)
         elif isinstance(t, Closure):
-            base = _strip_lifts(t.sub)[1]
-            stack += (t.body,) if isinstance(base, Shift) else (base.term, t.body)
-        elif not isinstance(t, Index):
-            raise TypeError(f"not a term: {t!r}")
-    built: list[BinTree] = []  # a first child's skeleton lies above its sibling's
-    for t in reversed(order):
-        if isinstance(t, Index):
-            tree, lifts = LEAF, t.n
-        elif isinstance(t, Abs):
-            tree, lifts = BinTree(right=built.pop()), 0
-        elif isinstance(t, App):
-            tree, lifts = BinTree(built.pop(), built.pop()), 0
+            sub = t.sub
+            codes.append(2)
+            while isinstance(sub, Lift):
+                codes.append(2)
+                sub = sub.sub
+            if isinstance(sub, Shift):
+                codes.append(1)
+                stack.append(t.body)
+            else:
+                codes.append(3)
+                stack += (sub.term, t.body)
         else:
-            lifts, base = _strip_lifts(t.sub)
-            body = built.pop()
-            anchor = BinTree(right=body) if isinstance(base, Shift) else BinTree(body, built.pop())
-            tree = BinTree(left=anchor)
-        for _ in range(lifts):
-            tree = BinTree(left=tree)
-        built.append(tree)
-    return built[0]
+            raise TypeError(f"not a term: {t!r}")
+    return _from_shape(codes)
+
+
+def _grafting_arrays(n: int) -> tuple[list[int], list[int], list[int]]:
+    """Rémy's left, right and parent arrays over the ids 0..2n."""
+    if 2 * n + 1 > sys.maxsize:
+        raise InvalidSize("the size is too large: 2n + 1 exceeds sys.maxsize")
+    return [0] * (2 * n + 1), [0] * (2 * n + 1), [-1] * (2 * n + 1)
 
 
 def remy_tree(n: int, rng: Rng) -> BinTree:
@@ -271,9 +256,7 @@ def remy_tree(n: int, rng: Rng) -> BinTree:
     """
     if n < 1:
         raise InvalidSize("there is no tree with zero nodes")
-    left = [0] * (2 * n + 1)
-    right = [0] * (2 * n + 1)
-    parent = [-1] * (2 * n + 1)
+    left, right, parent = _grafting_arrays(n)
     root = 0
     for k in range(1, n + 1):
         x = rng.below(2 * k - 1)
@@ -294,21 +277,9 @@ def remy_tree(n: int, rng: Rng) -> BinTree:
             left[internal], right[internal] = x, leaf
         parent[x] = internal
         parent[leaf] = internal
-    # Erase leaves (even ids) bottom-up without recursion.
-    built: dict[int, BinTree] = {}
-    stack: list[tuple[int, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        l, r = left[node], right[node]
-        if expanded:
-            built[node] = BinTree(built.get(l), built.get(r))
-        else:
-            stack.append((node, True))
-            if l % 2:
-                stack.append((l, False))
-            if r % 2:
-                stack.append((r, False))
-    return built[root]
+    # Erase the leaves: a child survives iff its id is odd.
+    kids = [(l if l & 1 else None, r if r & 1 else None) for l, r in zip(left, right)]
+    return _from_shape(_shape(root, kids.__getitem__))
 
 
 def sample_term(n: int, rng: Rng) -> Term:
@@ -323,15 +294,13 @@ def sample_term(n: int, rng: Rng) -> Term:
       limit ``2**64 - 2**64 % (2k-1)``, so the limit is only computed for
       the rare draws above it.  The side is the low bit of the next word,
       because bound 2 never rejects;
-    * the translation is ``phi``'s left-chain plan and fold, run over the
-      ``left``/``right`` id arrays: a skeleton child exists iff its id is
-      odd (even ids are Rémy's leaves).
+    * the translation reads ``phi``'s plan straight off the ``left``/
+      ``right`` id arrays (a skeleton child exists iff its id is odd; even
+      ids are Rémy's leaves) and hands it to the same ``_fold``.
     """
     if n < 1:
         raise InvalidSize("there is no term of size zero")
-    left = [0] * (2 * n + 1)
-    right = [0] * (2 * n + 1)
-    parent = [-1] * (2 * n + 1)
+    left, right, parent = _grafting_arrays(n)
     root = 0
     state = rng._state
     safe = (1 << 64) - 2 * n
@@ -361,7 +330,7 @@ def sample_term(n: int, rng: Rng) -> Term:
             left[node], right[node] = node + 1, x
         parent[x] = parent[node + 1] = node
     rng._state = state
-    plan, stack = [], [root]  # plan: (chain length, anchor kind) in pre-order
+    plan, stack = [], [root]  # plan: (chain length, anchor code) in pre-order
     while stack:
         node, chain = stack.pop(), 0
         l, r = left[node], right[node]
@@ -374,19 +343,6 @@ def sample_term(n: int, rng: Rng) -> Term:
             plan.append((chain, 1))  # right child only
             stack.append(r)
         else:
-            plan.append((chain, 2))  # two children
+            plan.append((chain, 3))  # two children
             stack += (r, l)
-    built: list[Term] = []  # a left subtree's term lies above its sibling's
-    for chain, kind in reversed(plan):
-        if not kind:
-            built.append(Index(chain))
-        elif not chain:
-            top = built.pop()
-            built.append(Abs(top) if kind == 1 else App(top, built.pop()))
-        else:
-            base = built.pop()
-            sub = SHIFT if kind == 1 else Slash(built.pop())
-            for _ in range(chain - 1):
-                sub = Lift(sub)
-            built.append(Closure(base, sub))
-    return built[0]
+    return _fold(plan)

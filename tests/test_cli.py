@@ -315,6 +315,43 @@ def test_verify_rewrite(capsys):
     assert code == 0
 
 
+# Every integer flag of every subcommand, next to small values for the rest.
+_INT_FLAGS = [
+    (["count", "--kind", "subst"], "--max-size"),
+    (["sample", "--count", "2"], "--size"),
+    (["sample", "--size", "3"], "--count"),
+    (["sample", "--size", "3"], "--seed"),
+    (["normalize", "--term", "(\\0 0) (\\0 0)"], "--max-steps"),
+    (["stats", "--samples", "2", "--params", "beta,nested"], "--size"),
+    (["stats", "--size", "3", "--params", "beta,nested"], "--samples"),
+    (["stats", "--size", "3", "--samples", "2", "--params", "beta"], "--seed"),
+    (["expect", "--param", "beta"], "--size"),
+    (["verify", "--suite", "catalan"], "--max-size"),
+]
+# sizes large enough to overflow an array index, where rejection is immediate
+_HUGE = {("sample", "--size"), ("stats", "--size")}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        base + [flag, value]
+        for base, flag in _INT_FLAGS
+        for value in ("0", "-1", "x") + ((str(10**20),) if (base[0], flag) in _HUGE else ())
+    ],
+    ids=lambda argv: f"{argv[0]} {argv[-2]}={argv[-1]}",
+)
+def test_integer_flags_fail_cleanly(capsys, argv):
+    try:
+        code, _, err = run_cli(capsys, *argv)
+    except SystemExit as stop:  # argparse rejects non-numeric values
+        code, err = stop.code, capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert "error" in err
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["count"])  # missing required flag

@@ -321,6 +321,14 @@ def test_strict_form_finds_multi_step_witnesses():
     assert is_strict_form_bounded(t) == "yes"
 
 
+def test_upsilon_normal_forms_of_a_long_reduction(default_recursion_limit):
+    from lamupsilon.verify import upsilon_normal_forms_all_orders
+
+    # 1500 VarShift steps, one redex each
+    forms = upsilon_normal_forms_all_orders(parse_term("0" + "[shift]" * 1500))
+    assert forms == {Index(1500)}
+
+
 def test_upsilon_confluence_small_scope():
     from lamupsilon.verify import upsilon_normal_forms_all_orders
 

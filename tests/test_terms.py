@@ -109,6 +109,24 @@ def test_very_deep_terms_hash(default_recursion_limit):
     assert len(seen) == 2 and seen[_tower(Index(0))] == "zero"
 
 
+def test_repr_is_the_dataclass_text():
+    # literals taken from the dataclass-generated repr
+    assert repr(Closure(App(Index(0), Index(1)), Lift(Slash(Index(2))))) == (
+        "Closure(body=App(fun=Index(n=0), arg=Index(n=1)), sub=Lift(sub=Slash(term=Index(n=2))))"
+    )
+    assert repr(Closure(Abs(Index(3)), SHIFT)) == "Closure(body=Abs(body=Index(n=3)), sub=Shift())"
+    assert repr(Index(7)) == "Index(n=7)" and repr(SHIFT) == "Shift()"
+
+
+def test_very_deep_terms_repr(default_recursion_limit):
+    tower = Index(0)
+    for _ in range(100_000):
+        tower = Abs(tower)
+    assert repr(tower) == "Abs(body=" * 100_000 + "Index(n=0)" + ")" * 100_000
+    text = repr(_tower(Index(0)))
+    assert text.startswith("Closure(body=Abs(body=Closure(") and text.endswith("sub=Lift(sub=Shift()))")
+
+
 def test_child_ordering():
     t = Closure(App(Index(0), Index(1)), Slash(Index(2)))
     assert children(t) == (App(Index(0), Index(1)), Slash(Index(2)))

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -30,7 +33,7 @@ from lamupsilon import (
     tree_from_json,
     tree_to_json,
 )
-from lamupsilon.trees import LEAF
+from lamupsilon.trees import LEAF, _from_shape, _shape
 
 from conftest import chi_square_quantile, terms
 
@@ -175,6 +178,47 @@ def test_very_deep_tree_from_json(default_recursion_limit):
     assert phi_inv(phi(tree)) == tree
 
 
+def test_shape_codes():
+    # pre-order codes 2*(has left) + (has right), left subtree before right
+    assert _shape(LEAF) == [0]
+    assert _shape(BinTree(BinTree(right=LEAF), LEAF)) == [3, 1, 0, 0]
+    assert _shape(phi_inv(Index(2))) == [2, 2, 0]
+    assert _shape(phi_inv(Closure(Abs(Index(0)), Lift(Lift(SHIFT))))) == [2, 2, 2, 1, 1, 0]
+    assert _shape(phi_inv(Closure(Index(0), Slash(Index(1))))) == [2, 3, 0, 2, 0]
+    for n in range(1, 8):
+        for tree in enumerate_trees(n):
+            assert _from_shape(_shape(tree)) == tree and len(_shape(tree)) == n
+
+
+def test_skeleton_repr_is_the_dataclass_text():
+    # literal taken from the dataclass-generated repr
+    assert repr(BinTree(BinTree(right=LEAF), LEAF)) == (
+        "BinTree(left=BinTree(left=None, right=BinTree(left=None, right=None)), "
+        "right=BinTree(left=None, right=None))"
+    )
+
+
+def test_very_deep_skeleton_repr(default_recursion_limit):
+    text = repr(_left_tower(100_000))
+    assert text == "BinTree(left=" * 100_000 + "BinTree(left=None, right=None)" + ", right=None)" * 100_000
+
+
+def test_hashes_repeat_across_interpreters():
+    code = (
+        "from lamupsilon import parse_term, phi_inv\n"
+        "t = parse_term('(\\\\1 0[lift(shift)]) (0[2/])')\n"
+        "print(hash(t), hash(phi_inv(t)))"
+    )
+    outs = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(sys.path))
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        outs.add(run.stdout)
+    assert len(outs) == 1
+
+
 def test_tree_json_round_trip():
     tree = BinTree(BinTree(right=LEAF), LEAF)
     encoded = tree_to_json(tree)
@@ -230,6 +274,14 @@ def test_remy_rejects_size_zero():
         remy_tree(0, Rng(0))
     with pytest.raises(InvalidSize):
         sample_term(0, Rng(0))
+
+
+def test_sizes_too_large_to_sample_are_rejected():
+    for n in (2**62, 10**20):
+        with pytest.raises(InvalidSize):
+            remy_tree(n, Rng(0))
+        with pytest.raises(InvalidSize):
+            sample_term(n, Rng(0))
 
 
 def test_remy_node_counts_are_exact():
