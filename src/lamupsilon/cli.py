@@ -18,7 +18,7 @@ from .series import ParamKind, _catalans, expected_param_exact
 from .stats import NESTED, default_comparisons, export_report, run_experiment
 from .syntax import ParseError, parse_term, render_term
 from .trees import InvalidSize, Rng, sample_term
-from .verify import DEFAULT_SUITE_SIZES, SUITES
+from .verify import SUITES
 
 _PARAM_NAMES = [p.value for p in ParamKind] + [NESTED]
 
@@ -74,7 +74,7 @@ def _usage_error(message: str) -> int:
 
 
 def _read_term_text(args) -> str | None:
-    if not sys.stdin.isatty():
+    if sys.stdin is not None and not sys.stdin.isatty():  # None: stdin closed
         piped = sys.stdin.read()
         if piped.strip():
             return piped.strip()
@@ -187,12 +187,10 @@ def _cmd_expect(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    max_size = args.max_size
-    if max_size is None:
-        max_size = DEFAULT_SUITE_SIZES[args.suite]
-    if max_size < 1:
+    if args.max_size is not None and args.max_size < 1:
         return _usage_error("--max-size must be at least 1")
-    results = SUITES[args.suite](max_size)
+    suite = SUITES[args.suite]
+    results = suite() if args.max_size is None else suite(args.max_size)
     failed = 0
     for result in results:
         mark = "ok  " if result.passed else "FAIL"

@@ -11,15 +11,16 @@ brute-force term enumeration.  All arithmetic is exact: big integers for
 counts and totals, and ``fractions.Fraction`` only at the final
 expectation/ratio step.
 
-The nested-free generating function T~ is algebraic of degree 4: it is a
-root of a quadratic over Q(z)(P), where P is itself quadratic over Q(z).
-``tools/derive_recurrences.py`` writes T~ in that tower of square roots,
-takes the Q(z)-linear relation among 1, T~ and its first three
-derivatives (an inhomogeneous ODE of order 3 and degree 39, the
-``algeqtodiffeq`` step of Salvy and Zimmermann's GFUN), turns it into the
-order-37, degree-3 recurrence below (``diffeqtorec``), and checks it
-against ``solve_restricted_series`` to order 2048; the derivation takes
-about a second.
+Every generating function behind these tables is algebraic: the nine
+parameter totals lie in Q(z)(sqrt(1 - 4z)), and T~ is a root of a
+quadratic over Q(z)(P), where P is itself quadratic over Q(z).
+``tools/derive_recurrences.py`` derives each table from that algebraic
+equation (the ``algeqtodiffeq`` and ``diffeqtorec`` steps of Salvy and
+Zimmermann's GFUN): the Q(z)-linear relation among 1, the function and its
+derivatives is an inhomogeneous ODE, proved by construction, and the
+recurrence is read off it.  The tool checks every table against the series
+oracles to order 2048; the derivation itself takes about a second and a
+half.
 """
 
 from __future__ import annotations
@@ -59,10 +60,6 @@ class Series:
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    @classmethod
-    def zero(cls, order: int) -> "Series":
-        return cls([0] * (order + 1))
 
     @classmethod
     def one(cls, order: int) -> "Series":
@@ -324,41 +321,37 @@ def _expectation_totals(order: int) -> dict[ParamKind, Series]:
 #: sum_i P_i(n) f(n - i) = 0 for every n >= start, where P_i(n) is
 #: sum_j polys[i][j] * n**j and P_0 has no root from start on.  Each entry
 #: is (initial, polys) with initial = (f(0), ..., f(start - 1)).
-#: ``tools/derive_recurrences.py`` guesses them from the series, proves them
-#: on the algebraic generating functions and checks them to order 2048.
+#: ``tools/derive_recurrences.py`` derives each one from the algebraic
+#: equation of its generating function (proved by construction) and checks
+#: it against the series to order 2048.
 _RECURRENCES: dict[ParamKind, tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = {
     ParamKind.BETA: (
-        (0, 0, 0, 0, 1),
-        ((0, -148, 117, -32, 3), (-840, 1108, -570, 134, -12)),
+        (0, 0, 0, 0, 1, 5, 22),
+        ((0, 1), (12, -9), (-74, 26), (120, -26), (-52, 8)),
     ),
-    ParamKind.APP: ((0, 0, 0, 0, 0, 1), ((0, -5, 1), (-30, 22, -4))),
-    ParamKind.LAMBDA: ((0, 0, 0, 0, 1), ((4, -5, 1), (-30, 22, -4))),
+    ParamKind.APP: ((0, 0, 0, 0, 0, 1), ((0, 1), (12, -9), (-70, 25), (90, -20))),
+    ParamKind.LAMBDA: ((0, 0, 0, 0, 1), ((-1, 1), (15, -7), (-42, 12))),
     ParamKind.FVAR: (
-        (0, 0, 0, 0, 1),
-        ((-114, 109, -32, 3), (612, -496, 134, -12)),
+        (0, 0, 0, 0, 1, 3, 11),
+        ((-2, 1), (22, -7), (-66, 14), (52, -8)),
     ),
-    ParamKind.RVAR: ((0, 0, 0, 0, 0, 1), ((15, -8, 1), (-72, 34, -4))),
+    ParamKind.RVAR: ((0, 0, 0, 0, 0, 1), ((-3, 1), (24, -6), (-44, 8))),
     ParamKind.FVARLIFT: ((0, 0, 0, 0, 1), ((-3, 1), (14, -4))),
     ParamKind.RVARLIFT: ((0, 0, 0, 0, 0, 1), ((-4, 1), (22, -5), (-18, 4))),
     ParamKind.VARSHIFT: ((0, 0, 0, 1), ((-3, 1), (14, -4))),
     ParamKind.UNSUSPENDED: (
-        (0, 1, 4, 14, 49, 175),
+        (0, 1, 4, 14, 49, 175, 636, 2341, 8697, 32538),
         (
-            (15120, 138, -9061, 4823, -1019, 79),
-            (0, -131112, 134656, -55418, 10664, -790),
-            (-408240, 782946, -563289, 202287, -36471, 2607),
-            (756000, -1173108, 758854, -257612, 45026, -3160),
-            (-378000, 520998, -312099, 101097, -17181, 1185),
-            (-75600, 130422, -89351, 31303, -5569, 395),
-            (90720, -130284, 80290, -26480, 4550, -316),
+            (1, 1), (0, -14), (-82, 78), (470, -222), (-1053, 339), (949, -245),
+            (-32, 18), (-479, 81), (219, -35), (41, -5), (-34, 4),
         ),
     ),
 }
 
 
-#: The same format for the counts of nested-free terms, the coefficients of
-#: T~ in ``solve_restricted_series``: the order-37 recurrence that
-#: ``tools/derive_recurrences.py`` derives from T~'s algebraic equation.
+#: The same format, derived the same way, for the counts of nested-free
+#: terms, the coefficients of T~ in ``solve_restricted_series``: an order-37
+#: recurrence, from an ODE of order 3 and degree 39.
 _NESTED_FREE_RECURRENCE: tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] = (
     (
         0, 1, 2, 5, 14, 42, 131, 420, 1375, 4577, 15444, 52705, 181593, 630824, 2207020,

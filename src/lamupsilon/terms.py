@@ -194,13 +194,6 @@ Node = Term | Subst
 #: Slash -> [term]; Lift -> [sub]; Index/Shift -> [].
 Position = tuple[int, ...]
 
-_TERM_TYPES = (Index, Abs, App, Closure)
-
-
-def is_term(node: Node) -> bool:
-    return isinstance(node, _TERM_TYPES)
-
-
 def children(node: Node) -> tuple[Node, ...]:
     """Children of a node in canonical order."""
     if isinstance(node, (Index, Shift)):

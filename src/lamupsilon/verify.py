@@ -210,11 +210,9 @@ def suite_oracle(max_size: int = 9) -> list[CheckResult]:
     return results
 
 
-SUITES: dict[str, Callable[[int], list[CheckResult]]] = {
+SUITES: dict[str, Callable[..., list[CheckResult]]] = {
     "catalan": suite_catalan,
     "bijection": suite_bijection,
     "rewrite": suite_rewrite,
     "oracle": suite_oracle,
 }
-
-DEFAULT_SUITE_SIZES = {"catalan": 64, "bijection": 8, "rewrite": 8, "oracle": 9}

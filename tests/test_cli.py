@@ -143,6 +143,14 @@ def test_normalize_stdin_wins_over_flag(capsys):
     assert code == 0 and out == "1\n"
 
 
+def test_normalize_with_stdin_closed_reads_the_flag(capsys, monkeypatch):
+    # a closed stdin (``<&-``) leaves sys.stdin as None
+    monkeypatch.setattr(sys, "stdin", None)
+    code = main(["normalize", "--term", "0[shift]"])
+    out, _ = capsys.readouterr()
+    assert code == 0 and out == "1\n"
+
+
 def test_normalize_without_input_is_usage_error(capsys):
     assert run_cli(capsys, "normalize")[0] == 2
 
@@ -298,6 +306,11 @@ def test_verify_catalan(capsys):
     lines = out.strip().splitlines()
     assert all(line.startswith("ok") for line in lines[:-1])
     assert lines[-1].endswith("checks passed")
+
+
+def test_verify_without_max_size_uses_the_suite_default(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "catalan")
+    assert code == 0 and "Catalan(n) for 1..64" in out
 
 
 def test_verify_oracle(capsys):

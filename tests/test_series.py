@@ -1,6 +1,9 @@
+import importlib.util
 import math
+import time
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -264,6 +267,17 @@ def test_a_wrong_recurrence_raises_instead_of_returning(monkeypatch):
     monkeypatch.setattr(series, "_RECURRENCES", table)
     with pytest.raises(ArithmeticError, match="non-integer"):
         expected_param_exact(ParamKind.BETA, 40)
+
+
+def test_served_tables_are_the_derived_ones():
+    # the derivation of tools/derive_recurrences.py without its order-2048 check
+    path = Path(__file__).resolve().parents[1] / "tools" / "derive_recurrences.py"
+    spec = importlib.util.spec_from_file_location("derive_recurrences", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    table, nested = tool.derive_tables(time.perf_counter())
+    assert table == series._RECURRENCES
+    assert nested == series._NESTED_FREE_RECURRENCE
 
 
 def test_expectation_slope_direction():

@@ -11,53 +11,43 @@ a linear recurrence with polynomial coefficients,
 
 which ``lamupsilon.series`` stores as ``(initial, polys)``: ``initial`` is
 f(0), ..., f(start - 1) and ``polys[i][j]`` is the coefficient of n**j in
-P_i.  This script rebuilds that table in four steps and exits with status 1
-if any step fails or the table differs from the one in ``src/``:
+P_i.  Every table is derived the same way, by the ``algeqtodiffeq`` and
+``diffeqtorec`` steps of Salvy and Zimmermann's GFUN (ACM TOMS 1994), and
+the script exits with status 1 if a step fails or a table differs from the
+one in ``src/``:
 
-1. Guess.  For each order r = 1, 2, ... and degree d = 0, 1, ..., solve the
-   exact linear system for the (r + 1)(d + 1) coefficients on the order-256
-   oracle series (equations from n = 40 on), keep the first (r, d) with a
-   solution, and confirm it on the whole fit window n <= 256.
-2. Prove.  Write F = a(z) + b(z) sqrt(1 - 4z) with a, b rational, from
-   the same formulas as ``series._expectation_totals``.  The recurrence holds
-   for every n >= start exactly when G = sum_i P_i(theta) (z**i F), with
-   theta = z d/dz, is a polynomial of degree below start: its sqrt part
-   must vanish and its rational part must be such a polynomial.  The
-   forward loop also needs P_0(n) != 0 for n >= start, which is checked up
-   to the Cauchy bound on the integer roots of P_0.
-3. Check.  Run the table forward with ``series._recurrence_values`` (the
-   loop behind ``expected_param_exact``) and compare it with the
-   coefficients of ``_expectation_totals(CHECK_ORDER)`` for every
-   n <= CHECK_ORDER.
-4. Compare the derived table with ``series._RECURRENCES``; if they differ,
-   print the derived table as a literal to paste into ``src/``.
+1. Write the generating function as an element y of a tower of quadratic
+   extensions of Q(z) (``Quadratic`` is the arithmetic of one level), after
+   checking that the counting series it is built from solve their system.
+   The nine totals F lie in Q(z)(sqrt(1 - 4z)), of degree 2 over Q(z), by
+   the same formulas as ``series._expectation_totals``.  The nested-free
+   counts (T~ of ``solve_restricted_series``) are a root of a quadratic
+   over Q(z)(P), and P of one over Q(z), so T~ lies in
+   Q(z)(sqrt(d_P))(sqrt(d_T~)), of degree 4.
+2. Derive.  Differentiate in the tower, with sqrt(e)' = e' sqrt(e) / (2e).
+   In a field of degree D over Q(z), the D + 1 vectors 1, y, y', ...,
+   y^(D-1) in D coordinates satisfy the linear relation given by their
+   signed D x D minors: an inhomogeneous ODE, proved by construction, of
+   order 1 for the nine totals and of order 3 and degree 39 for T~.  Read
+   the recurrence off the ODE coefficient by coefficient; it holds for
+   every n past the degree of the inhomogeneous part.  ``start_of`` fixes
+   the start on the order-256 series, and ``natural_roots`` checks that
+   P_0 has no integer root from there on.  The nine totals get
+   recurrences of degree 1 and order 1 to 10, T~ one of degree 3 and
+   order 37.
+3. Check.  Run each table forward with ``series._recurrence_values`` (the
+   loop behind ``expected_param_exact`` and ``nested_free_fraction``) and
+   compare it with the coefficients of the order-``CHECK_ORDER`` series
+   oracles, ``_expectation_totals`` and ``solve_restricted_series``.
+4. Compare the tables with ``series._RECURRENCES`` and
+   ``series._NESTED_FREE_RECURRENCE``; if they differ, print the derived
+   ones as literals to paste into ``src/``.
 
-The nested-free counts (T~ of ``solve_restricted_series``, served from
-``series._NESTED_FREE_RECURRENCE``) need a recurrence of order 37, far
-beyond what the guess above can reach, so they are derived instead, by the
-``algeqtodiffeq`` and ``diffeqtorec`` steps of Salvy and Zimmermann's GFUN
-(ACM TOMS 1994):
-
-a. T~ is a root of a quadratic over Q(z)(P), and P of one over Q(z), so T~
-   is an element y of the tower Q(z)(sqrt(d_P))(sqrt(d_T~)), of degree 4
-   over Q(z).  ``Quadratic`` is the arithmetic of one level of the tower;
-   the script checks that y solves the restricted system.
-b. Differentiate in the tower, with sqrt(d)' = d' sqrt(d) / (2d).  The five
-   vectors 1, y and its first three derivatives, in four coordinates over
-   Q(z), satisfy the linear relation given by their signed 4 x 4 minors:
-   an inhomogeneous ODE of order 3 whose polynomial coefficients have
-   degree up to 39, proved by construction.
-c. Read the recurrence off the ODE coefficient by coefficient; it holds for
-   every n past the degree of the inhomogeneous part.  ``start_of`` and
-   ``natural_roots`` then fix the start (37) and check the integer roots
-   of P_0.
-d. Check the table against ``solve_restricted_series(CHECK_ORDER)`` and
-   compare it with ``series._NESTED_FREE_RECURRENCE``, as in steps 3 and 4.
-
-Standard library only; not part of the test suite.  On one core of a
-2-core x86-64 machine with Python 3.11 the whole run takes about 110 s:
-the order-2048 oracle series about 80 s, the guess for ``unsuspended``
-about 25 s, and steps a-c about one second.
+Standard library only.  The test suite runs steps 1 and 2 through
+``derive_tables`` (about 1.5 s) and compares the result with ``src/``; only
+this script runs the check.  On one core of a 2-core x86-64 machine with
+Python 3.11 the whole run takes about 95 s, nearly all of it the
+order-2048 oracle series; steps 1 and 2 take about 1.5 s.
 """
 
 from __future__ import annotations
@@ -80,91 +70,11 @@ from lamupsilon.series import (  # noqa: E402
     solve_restricted_series,
 )
 
-FIT_ORDER = 256
+WINDOW = 256
 CHECK_ORDER = 2048
-FIT_FROM = 40
-MAX_ORDER = 8
-MAX_DEGREE = 8
-MAX_UNKNOWNS = 80
 
 
-# --- step 1: guessing by exact linear algebra -----------------------------
-
-
-def nullspace(rows: list[list[int]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the rational nullspace, by Gauss-Jordan elimination."""
-    rows = [[Fraction(x) for x in row] for row in rows]
-    pivots: list[int] = []
-    for col in range(ncols):
-        rank = len(pivots)
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i, row in enumerate(rows):
-            if i != rank and row[col]:
-                factor = row[col]
-                rows[i] = [a - factor * b for a, b in zip(row, rows[rank])]
-        pivots.append(col)
-    basis = []
-    for free in (c for c in range(ncols) if c not in pivots):
-        vector = [Fraction(0)] * ncols
-        vector[free] = Fraction(1)
-        for i, col in enumerate(pivots):
-            vector[col] = -rows[i][free]
-        basis.append(vector)
-    return basis
-
-
-def residual(polys, f, n: int) -> int:
-    return sum(_poly_at(poly, n) * f[n - i] for i, poly in enumerate(polys))
-
-
-def guess(f) -> tuple[tuple[int, ...], ...]:
-    """Lowest-order, then lowest-degree recurrence that f satisfies on the window."""
-    for order in range(1, MAX_ORDER + 1):
-        for degree in range(MAX_DEGREE + 1):
-            unknowns = (order + 1) * (degree + 1)
-            if unknowns > MAX_UNKNOWNS:
-                break
-            rows = [
-                [n**j * f[n - i] for i in range(order + 1) for j in range(degree + 1)]
-                for n in range(FIT_FROM, FIT_FROM + unknowns + 8)
-            ]
-            basis = nullspace(rows, unknowns)
-            if not basis:
-                continue
-            if len(basis) > 1:
-                raise SystemExit(f"order {order}, degree {degree}: {len(basis)} solutions")
-            scale = math.lcm(*(x.denominator for x in basis[0]))
-            ints = [int(x * scale) for x in basis[0]]
-            ints = [x // math.gcd(*ints) for x in ints]
-            polys = [ints[i * (degree + 1) : (i + 1) * (degree + 1)] for i in range(order + 1)]
-            if polys[0][-1] < 0:  # sign convention: P_0 has a positive leading coefficient
-                polys = [[-c for c in poly] for poly in polys]
-            return tuple(tuple(poly) for poly in polys)
-    raise SystemExit("no recurrence within the search bounds")
-
-
-def natural_roots(lead) -> list[int]:
-    """Roots n >= 0 of P_0, searched up to the Cauchy bound 1 + max |a_i / a_d|."""
-    bound = 1 + math.ceil(max((abs(Fraction(c, lead[-1])) for c in lead[:-1]), default=0))
-    return [n for n in range(bound + 1) if _poly_at(lead, n) == 0]
-
-
-def start_of(polys, f) -> int:
-    """Least start such that the recurrence holds and P_0 has no root from there
-    on, judged on the window f (the proofs cover every larger n)."""
-    start = max([len(polys) - 1] + [n + 1 for n in natural_roots(polys[0])])
-    bad = [n for n in range(start, len(f)) if residual(polys, f, n)]
-    if bad:
-        start = bad[-1] + 1
-    return start
-
-
-# --- step 2: proof on the algebraic generating functions -----------------
+# --- differential fields: Q(z) and towers of quadratic extensions -------
 #
 # Polynomials are tuples of Fractions, lowest degree first, without trailing
 # zeros; rational functions are (numerator, monic denominator) in lowest
@@ -191,13 +101,6 @@ def p_neg(p):
 
 def p_sub(p, q):
     return p_add(p, p_neg(q))
-
-
-def p_pow(p, k):
-    out = poly(1)
-    for _ in range(k):
-        out = p_mul(out, p)
-    return out
 
 
 def p_mul(p, q):
@@ -377,6 +280,9 @@ QZ = RationalFunctions()
 K = Quadratic(QZ, QZ.rational((1, -4)))  # Q(z)(R), R = sqrt(1 - 4z)
 
 
+# --- the generating functions as elements of towers ------------------------
+
+
 def generating_functions() -> dict[ParamKind, tuple]:
     """F for every parameter, transcribed from ``series._expectation_totals``."""
     add, sub, mul = K.add, K.sub, K.mul
@@ -418,46 +324,6 @@ def generating_functions() -> dict[ParamKind, tuple]:
     return out
 
 
-def prove(f_alg, polys, start: int) -> None:
-    """Raise SystemExit unless the recurrence holds for every n >= start."""
-    # sum_i P_i(theta) z^i F = sum_i z^i P_i(theta + i) F = sum_j c_j(z) theta^j F
-    degree = len(polys[0]) - 1
-    c = [[Fraction(0)] * len(polys) for _ in range(degree + 1)]
-    for i, poly_i in enumerate(polys):
-        for k, coeff in enumerate(poly_i):  # coeff (x + i)^k, binomially expanded
-            for j in range(k + 1):
-                c[j][i] += coeff * math.comb(k, j) * i ** (k - j)
-    # F = (A + B R)/D.  With E = 1 - 4z (so R' = -2R/E) and theta = z d/dz,
-    # theta^j F = A_j / D^(j+1) + B_j R / (D^(j+1) E^j), where
-    #   A_(j+1) = z (A_j' D - (j+1) A_j D'),
-    #   B_(j+1) = z (E (B_j' D - (j+1) B_j D') + (4j - 2) B_j D),
-    # so the check needs no polynomial gcd.
-    (a_num, a_den), (b_num, b_den) = f_alg
-    den = p_mul(a_den, b_den)
-    a, b = p_mul(a_num, b_den), p_mul(b_num, a_den)
-    e, z = poly(1, -4), poly(0, 1)
-    d_den = p_deriv(den)
-    rational, radical = (), ()
-    for j, c_j in enumerate(c):
-        c_j = p_trim(c_j)
-        rest = p_pow(den, degree - j)
-        rational = p_add(rational, p_mul(c_j, p_mul(a, rest)))
-        radical = p_add(radical, p_mul(c_j, p_mul(b, p_mul(rest, p_pow(e, degree - j)))))
-        a = p_mul(z, p_sub(p_mul(p_deriv(a), den), p_mul(poly(j + 1), p_mul(a, d_den))))
-        b = p_mul(z, p_add(
-            p_mul(e, p_sub(p_mul(p_deriv(b), den), p_mul(poly(j + 1), p_mul(b, d_den)))),
-            p_mul(poly(4 * j - 2), p_mul(b, den)),
-        ))
-    quotient, remainder = p_divmod(rational, p_pow(den, degree + 1))
-    if radical or remainder or len(quotient) > start:
-        raise SystemExit("the recurrence does not annihilate F past its start")
-    if any(n >= start for n in natural_roots(polys[0])):
-        raise SystemExit("P_0 vanishes at or after the start")
-
-
-# --- T~: from its algebraic equation to an ODE to a recurrence ----------
-
-
 def nested_free_tower():
     """(field, y): T~ as an element y of Q(z)(sqrt(d_P))(sqrt(d_T~)), after
     checking that it solves the system of ``series.solve_restricted_series``.
@@ -482,6 +348,9 @@ def nested_free_tower():
     if rhs != y:
         raise SystemExit("the algebraic T~ does not solve the restricted system")
     return k2, y
+
+
+# --- from an algebraic element to an ODE to a recurrence ------------------
 
 
 def linear_ode(field, y) -> list[tuple[int, ...]]:
@@ -544,47 +413,64 @@ def ode_to_recurrence(relation) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple(tuple(c // scale for c in poly_j) for poly_j in polys), exact_from
 
 
-def derive_nested_free(began: float):
-    """The ``series._NESTED_FREE_RECURRENCE`` entry, derived and proved."""
-    field, y = nested_free_tower()
+def natural_roots(lead) -> list[int]:
+    """Roots n >= 0 of P_0, searched up to the Cauchy bound 1 + max |a_i / a_d|."""
+    bound = 1 + math.ceil(max((abs(Fraction(c, lead[-1])) for c in lead[:-1]), default=0))
+    return [n for n in range(bound + 1) if _poly_at(lead, n) == 0]
+
+
+def start_of(polys, f) -> int:
+    """Least start such that the recurrence holds and P_0 has no root from there
+    on, judged on the window f (the ODE covers every larger n)."""
+    start = max([len(polys) - 1] + [n + 1 for n in natural_roots(polys[0])])
+    bad = [
+        n for n in range(start, len(f))
+        if sum(_poly_at(poly, n) * f[n - i] for i, poly in enumerate(polys))
+    ]
+    if bad:
+        start = bad[-1] + 1
+    return start
+
+
+def derive(name: str, field, y, f, began: float):
+    """The (initial, polys) table entry for the coefficients f of y, an element
+    of the differential field ``field``, derived and proved: the ODE of
+    ``linear_ode``, its recurrence, and the start fixed on the window f."""
     relation = linear_ode(field, y)
     polys, exact_from = ode_to_recurrence(relation)
-    f = solve_restricted_series(FIT_ORDER)[2].coeffs
     start = start_of(polys, f)
-    # the ODE covers n >= exact_from; start_of has checked start <= n <= FIT_ORDER
+    # the ODE covers n >= exact_from; start_of has checked start <= n < len(f)
     if start > max(exact_from, len(polys) - 1, *(n + 1 for n in natural_roots(polys[0]))):
-        raise SystemExit(f"the T~ recurrence fails on the series at n = {start - 1}")
-    if exact_from > FIT_ORDER:
-        raise SystemExit(f"the T~ recurrence is proved only from n = {exact_from}")
+        raise SystemExit(f"{name}: the recurrence fails on the series at n = {start - 1}")
+    if exact_from >= len(f):
+        raise SystemExit(f"{name}: the recurrence is proved only from n = {exact_from}")
     print(
-        f"{'nested_free':12s} ODE order {len(relation) - 2}  degree "
+        f"{name:12s} ODE order {len(relation) - 2}  degree "
         f"{max(len(q) for q in relation) - 1}  ->  order {len(polys) - 1}  degree "
         f"{len(polys[0]) - 1}  start {start}  proved  ({time.perf_counter() - began:.1f} s)"
     )
     return tuple(f[:start]), polys
 
 
-# --- step 3: forward check against the series oracle ----------------------
+def derive_tables(began: float):
+    """(``_RECURRENCES``, ``_NESTED_FREE_RECURRENCE``) as ``derive`` builds them,
+    with the windows cut from the order-``WINDOW`` series."""
+    totals = _expectation_totals(WINDOW)
+    table = {
+        param: derive(param.value, K, y, totals[param].coeffs, began)
+        for param, y in generating_functions().items()
+    }
+    field, y = nested_free_tower()
+    nested = derive("nested_free", field, y, solve_restricted_series(WINDOW)[2].coeffs, began)
+    return table, nested
+
+
+# --- forward check against the series oracles -----------------------------
 
 
 def main() -> int:
     began = time.perf_counter()
-    fit = _expectation_totals(FIT_ORDER)
-    algebraic = generating_functions()
-    table = {}
-    for param in ParamKind:
-        f = fit[param].coeffs
-        polys = guess(f)
-        start = start_of(polys, f)
-        if start >= FIT_FROM:
-            raise SystemExit(f"{param.value}: recurrence starts at {start}, inside the fit rows")
-        prove(algebraic[param], polys, start)
-        table[param] = (tuple(f[:start]), polys)
-        print(
-            f"{param.value:12s} order {len(polys) - 1}  degree {len(polys[0]) - 1}"
-            f"  start {start}  proved  ({time.perf_counter() - began:.1f} s)"
-        )
-    nested = derive_nested_free(began)
+    table, nested = derive_tables(began)
 
     check = _expectation_totals(CHECK_ORDER)
     runs = {param.value: (entry, check[param].coeffs) for param, entry in table.items()}
