@@ -5,8 +5,8 @@ its immediate children, which the normalizer exploits: after a rewrite,
 outside the freshly created subtree only the parent's redex status can
 have changed.  The engine is therefore an incremental pre-order scan that
 is observationally identical to "rescan from the root, fire the first
-enabled redex" (leftmost-outermost), but runs in roughly constant time
-per step.
+enabled redex" (leftmost-outermost).  A step costs its redex's depth: it
+copies the position, and with ``keep_terms`` rebuilds the path to the root.
 """
 
 from __future__ import annotations
@@ -110,26 +110,42 @@ def match_redex(term: Term) -> Optional[RuleKind]:
     return None
 
 
+def _contract(node: Term) -> Optional[tuple[RuleKind, Term]]:
+    """``(kind, right-hand side)`` for the redex at the root, if any.  The one
+    right-hand-side ladder; ``match_redex`` stays separate because
+    ``count_all_redexes`` only classifies and must not build right-hand sides."""
+    if node.__class__ is Closure:
+        body, sub = node.body, node.sub
+        if body.__class__ is App:
+            return RuleKind.APP, App(Closure(body.fun, sub), Closure(body.arg, sub))
+        if body.__class__ is Abs:
+            return RuleKind.LAMBDA, Abs(Closure(body.body, Lift(sub)))
+        if body.__class__ is not Index:
+            return None
+        n = body.n
+        if sub.__class__ is Slash:
+            return (RuleKind.RVAR, Index(n - 1)) if n else (RuleKind.FVAR, sub.term)
+        if sub.__class__ is not Lift:
+            return RuleKind.VARSHIFT, Index(n + 1)
+        if n == 0:
+            return RuleKind.FVARLIFT, Index(0)
+        return RuleKind.RVARLIFT, Closure(Closure(Index(n - 1), sub.sub), SHIFT)
+    if node.__class__ is App and node.fun.__class__ is Abs:
+        return RuleKind.BETA, Closure(node.fun.body, Slash(node.arg))
+    return None
+
+
+def _rule_kind(kind: RuleKind) -> RuleKind:
+    if kind.__class__ is not RuleKind:
+        raise TypeError(f"not a RuleKind: {kind!r}")
+    return kind
+
+
 def rewrite_root(term: Term, kind: RuleKind) -> Term:
     """Right-hand side for a redex of ``kind`` at the root."""
-    if match_redex(term) is not kind:
-        raise InvalidRedex(f"{kind.value} does not match at the root")
-    if kind is RuleKind.BETA:
-        return Closure(term.fun.body, Slash(term.arg))
-    if kind is RuleKind.APP:
-        body, sub = term.body, term.sub
-        return App(Closure(body.fun, sub), Closure(body.arg, sub))
-    if kind is RuleKind.LAMBDA:
-        return Abs(Closure(term.body.body, Lift(term.sub)))
-    if kind is RuleKind.FVAR:
-        return term.sub.term
-    if kind is RuleKind.RVAR:
-        return Index(term.body.n - 1)
-    if kind is RuleKind.FVARLIFT:
-        return Index(0)
-    if kind is RuleKind.RVARLIFT:
-        return Closure(Closure(Index(term.body.n - 1), term.sub.sub), SHIFT)
-    return Index(term.body.n + 1)  # VarShift
+    if (contracted := _contract(term)) is None or contracted[0] is not kind:
+        raise InvalidRedex(f"{_rule_kind(kind).value} does not match at the root")
+    return contracted[1]
 
 
 def apply_at(term: Term, redex: Redex) -> Term:
@@ -147,7 +163,7 @@ def find_redexes(term: Term, kinds: Optional[Iterable[RuleKind]] = None) -> list
     The walk keeps one path of child ordinals and copies it only for a
     redex, so a call costs the size of the term plus the depth of each
     redex found, not the depth of every node."""
-    wanted = ALL_RULES if kinds is None else frozenset(kinds)
+    wanted = ALL_RULES if kinds is None else frozenset(map(_rule_kind, kinds))
     found, path, stack = [], [], [(term, 0, 0)]  # (node, depth, ordinal)
     while stack:
         node, depth, ordinal = stack.pop()
@@ -162,7 +178,7 @@ def find_redexes(term: Term, kinds: Optional[Iterable[RuleKind]] = None) -> list
 
 def count_redexes(term: Term, kind: RuleKind) -> int:
     """Number of positions where ``kind`` matches."""
-    return count_all_redexes(term)[kind]
+    return count_all_redexes(term)[_rule_kind(kind)]
 
 
 def count_all_redexes(term: Term) -> dict[RuleKind, int]:
@@ -179,16 +195,13 @@ def count_all_redexes(term: Term) -> dict[RuleKind, int]:
     return counts
 
 
-def _snapshot(frames: list[list], focus: Term) -> Term:
-    """Current whole term; repairs stale frames in place."""
-    cur = focus
-    for frame in reversed(frames):
-        node, ordinal = frame
-        if children(node)[ordinal] is not cur:
-            node = with_child(node, ordinal, cur)
-            frame[0] = node
-        cur = node
-    return cur
+def _snapshot(parents: list[Term], ordinals: list[int], focus: Term) -> Term:
+    """Current whole term; repairs stale ``parents`` in place."""
+    for depth in range(len(parents) - 1, -1, -1):
+        if children(parents[depth])[ordinals[depth]] is not focus:
+            parents[depth] = with_child(parents[depth], ordinals[depth], focus)
+        focus = parents[depth]
+    return focus
 
 
 def normalize(
@@ -204,61 +217,48 @@ def normalize(
     redex is the pre-order-first one.  Raises BudgetExceeded once
     ``max_steps`` rewrites have happened and an enabled redex remains.
     With ``keep_terms=False`` the trace omits the per-step result terms.
+    A step costs its redex's depth, for the position and any result term.
     """
-    if strategy == "full":
-        enabled = ALL_RULES
-    elif strategy == "upsilon":
-        enabled = UPSILON_RULES
-    else:
+    if strategy not in ("full", "upsilon"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if max_steps is not None and max_steps < 0:
         raise ValueError("max_steps must be non-negative")
+    beta = strategy == "full"  # only Beta matches at an App
 
     steps: list[TraceStep] = []
-    frames: list[list] = []  # [node, ordinal] path from the root to the focus
+    parents: list[Term] = []  # nodes on the path from the root to the focus
+    ordinals: list[int] = []  # ordinals[d]: the child of parents[d] on the path
     focus: object = term
-    testing = True  # does the focus still need a redex test?
-    resume = 0  # first child to visit after a (failed) test
+    test = True  # does the focus still need a redex test?
+    resume = 0  # next child of the focus to visit
     while True:
-        if testing:
-            kind = match_redex(focus) if isinstance(focus, (App, Closure)) else None
-            if kind is not None and kind in enabled:
+        if test and (focus.__class__ is Closure or (beta and focus.__class__ is App)):
+            contracted = _contract(focus)
+            if contracted is not None:
                 if max_steps is not None and len(steps) >= max_steps:
-                    raise BudgetExceeded(_snapshot(frames, focus), Trace(tuple(steps)))
-                position = tuple(frame[1] for frame in frames)
-                focus = rewrite_root(focus, kind)
-                after = _snapshot(frames, focus) if keep_terms else None
-                steps.append(TraceStep(kind, position, after))
-                if frames:
-                    # Only the parent's redex status can have changed
-                    # outside the new subtree: re-test it, then dive back.
-                    node, ordinal = frames.pop()
-                    focus = with_child(node, ordinal, focus)
-                    resume = ordinal
-                else:
-                    resume = 0
-                continue
-            kids = children(focus)
-            if resume < len(kids):
-                frames.append([focus, resume])
-                focus = kids[resume]
+                    whole = _snapshot(parents, ordinals, focus)
+                    raise BudgetExceeded(whole, Trace(tuple(steps)))
+                kind, focus = contracted
+                after = _snapshot(parents, ordinals, focus) if keep_terms else None
+                steps.append(TraceStep(kind, tuple(ordinals), after))
                 resume = 0
+                if parents:
+                    # Outside the new subtree only the parent's redex status can change.
+                    resume = ordinals.pop()
+                    focus = with_child(parents.pop(), resume, focus)
                 continue
-            testing = False
-        else:
-            if not frames:
-                return focus, Trace(tuple(steps))
-            node, ordinal = frames.pop()
-            if children(node)[ordinal] is not focus:
-                node = with_child(node, ordinal, focus)
-            kids = children(node)
-            if ordinal + 1 < len(kids):
-                frames.append([node, ordinal + 1])
-                focus = kids[ordinal + 1]
-                resume = 0
-                testing = True
-            else:
-                focus = node
+        kids = children(focus)
+        if resume < len(kids):
+            parents.append(focus)
+            ordinals.append(resume)
+            focus, resume, test = kids[resume], 0, True
+            continue
+        if not parents:
+            return focus, Trace(tuple(steps))
+        node, ordinal = parents.pop(), ordinals.pop()
+        if children(node)[ordinal] is not focus:
+            node = with_child(node, ordinal, focus)
+        focus, resume, test = node, ordinal + 1, False
 
 
 def trace_to_json(trace: Trace) -> list[dict]:

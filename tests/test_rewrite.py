@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 
@@ -34,7 +36,7 @@ from lamupsilon import (
 )
 from lamupsilon.rewrite import UPSILON_RULES, rewrite_root
 
-from conftest import naive_normalize, terms
+from conftest import bigstep_normal_form, naive_normalize, terms
 
 
 def test_match_redex_examples():
@@ -118,6 +120,17 @@ def test_find_redexes_descends_into_substitutions():
     t = Closure(Index(0), Slash(Closure(Index(0), SHIFT)))
     positions = {r.position: r.kind for r in find_redexes(t)}
     assert positions == {(): RuleKind.FVAR, (1, 0): RuleKind.VARSHIFT}
+
+
+def test_kinds_that_are_not_rule_kinds_raise_type_error():
+    t = parse_term("(\\0) 0")
+    with pytest.raises(TypeError, match="'Beta'"):
+        find_redexes(t, ["Beta"])
+    with pytest.raises(TypeError, match="'Beta'"):
+        count_redexes(t, "Beta")
+    with pytest.raises(TypeError, match="'Beta'"):
+        apply_at(t, Redex((), "Beta"))
+    assert find_redexes(t, [RuleKind.BETA]) == [Redex((), RuleKind.BETA)]
 
 
 def test_count_redexes_examples():
@@ -223,6 +236,63 @@ def test_engine_matches_naive_rescan_on_random_terms():
         got_term, got_trace = normalize(t, "upsilon", keep_terms=False)
         assert done and got_term == want_term
         assert [(s.rule, s.position) for s in got_trace.steps] == want_steps
+
+
+def test_upsilon_trace_golden_digest_at_size_1000():
+    # Pins the rule and position of every step, the result and the
+    # budget flag far beyond the sizes the naive rescan can check.
+    digest = hashlib.sha256()
+    for k in range(20):
+        t = sample_term(1000, Rng.derived(0, k))
+        try:
+            normal, trace = normalize(t, "upsilon", 20000, keep_terms=False)
+            stopped = False
+        except BudgetExceeded as exc:
+            normal, trace, stopped = exc.term, exc.trace, True
+        for step in trace.steps:
+            digest.update(f"{step.rule.value} {step.position}\n".encode())
+        digest.update(f"{render_term(normal)}\n{stopped}\n".encode())
+    assert digest.hexdigest() == (
+        "9d4147c863c393c609ef3e49978252fb9abdf716afc05eb1c8ffbf542828a09e"
+    )
+
+
+def test_kept_trace_terms_replay_with_apply_at_at_size_200():
+    for i in range(5):
+        t = sample_term(200, Rng.derived(6, i))
+        normal, trace = normalize(t, "upsilon")
+        cur = t
+        for step in trace.steps:
+            cur = apply_at(cur, Redex(step.position, step.rule))
+            assert cur == step.result
+        assert cur == normal
+
+
+def test_bigstep_oracle_agrees_on_all_small_terms():
+    for n in range(1, 9):
+        for t in enumerate_terms(n):
+            assert normalize(t, "upsilon", keep_terms=False)[0] == bigstep_normal_form(t)
+
+
+@pytest.mark.parametrize("n,samples,seed", [(200, 300, 7), (1000, 60, 8)])
+def test_bigstep_oracle_agrees_on_random_terms(n, samples, seed):
+    for i in range(samples):
+        t = sample_term(n, Rng.derived(seed, i))
+        assert normalize(t, "upsilon", keep_terms=False)[0] == bigstep_normal_form(t)
+
+
+def test_bigstep_oracle_agrees_on_deep_binder_towers(default_recursion_limit):
+    inner = parse_term("(0 1 (\\2) 3)[lift(0[shift]/)]")
+    tower = inner
+    for _ in range(100_000):
+        tower = Abs(tower)
+    # binders under the substitution: one Lift per binder, then lookups
+    deep = Index(2000)
+    for _ in range(2000):
+        deep = Abs(deep)
+    for t in (tower, Closure(deep, Slash(inner))):
+        normal, _ = normalize(t, "upsilon", keep_terms=False)
+        assert normal == bigstep_normal_form(t)
 
 
 def test_upsilon_normalization_is_pure_small_sizes():
