@@ -3,24 +3,26 @@
 ``expected_param_exact`` serves each parameter total from an exact-integer
 P-recurrence (``_RECURRENCES``), and ``nested_free_fraction`` serves the
 count of nested-free terms from one more (``_NESTED_FREE_RECURRENCE``);
-both run forward in O(n) big-integer steps through one loop.  Two
-independent oracles stand behind them: degree-by-degree fixpoint solutions
-of the defining generating-function systems (every right-hand side carries
-a factor z, so degree k depends only on degrees below k; O(n**2)), and
-brute-force term enumeration.  All arithmetic is exact: big integers for
-counts and totals, and ``fractions.Fraction`` only at the final
-expectation/ratio step.
+both run forward in O(n) big-integer steps through one loop.  Two oracles
+stand behind them: brute-force term enumeration, and O(n**2) truncated
+power series.  T, S and T~ are degree-by-degree fixpoint solutions of
+their systems (every right-hand side carries a factor z, so degree k
+depends only on degrees below k), and the totals evaluate the marked
+grammar ``_marked_totals`` over T and S.  All arithmetic is exact: big
+integers for counts and totals, and ``fractions.Fraction`` only at the
+final expectation/ratio step.
 
 Every generating function behind these tables is algebraic: the nine
 parameter totals lie in Q(z)(sqrt(1 - 4z)), and T~ is a root of a
 quadratic over Q(z)(P), where P is itself quadratic over Q(z).
 ``tools/derive_recurrences.py`` derives each table from that algebraic
 equation (the ``algeqtodiffeq`` and ``diffeqtorec`` steps of Salvy and
-Zimmermann's GFUN): the Q(z)-linear relation among 1, the function and its
-derivatives is an inhomogeneous ODE, proved by construction, and the
-recurrence is read off it.  The tool checks every table against the series
-oracles to order 2048; the derivation itself takes about a second and a
-half.
+Zimmermann's GFUN), evaluating the same ``_marked_totals`` in that field:
+the Q(z)-linear relation among 1, the function and its derivatives is an
+inhomogeneous ODE, proved by construction, and the recurrence is read off
+it.  The tool checks every table against the series oracles to order 2048
+(enumeration checks the shared grammar); the derivation takes about a
+second and a half.
 """
 
 from __future__ import annotations
@@ -69,11 +71,6 @@ class Series:
     def z(cls, order: int) -> "Series":
         return cls([0, 1] + [0] * (order - 1)) if order >= 1 else cls([0])
 
-    @classmethod
-    def geometric(cls, order: int) -> "Series":
-        """1/(1-z): all-ones coefficients."""
-        return cls([1] * (order + 1))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Series) and self.coeffs == other.coeffs
 
@@ -96,33 +93,24 @@ class Series:
     def __sub__(self, other: "Series") -> "Series":
         return Series([a - b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def scale(self, factor) -> "Series":
-        return Series([factor * c for c in self.coeffs])
-
-    def shift(self, k: int) -> "Series":
-        """Multiply by z**k, truncating at the original order."""
-        if k < 0:
-            raise ValueError("shift must be non-negative")
-        return Series(((0,) * k + self.coeffs)[: self.order + 1])
-
     def __mul__(self, other: "Series") -> "Series":
-        a, b = self.coeffs, other.coeffs
-        order = min(len(a), len(b)) - 1
-        return Series(
-            [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(order + 1)]
-        )
+        """Cauchy product, skipping the trailing zeros of the sparser factor."""
+        order = min(self.order, other.order)
+        a, b = sorted((self.coeffs[: order + 1], other.coeffs[: order + 1]), key=_support)
+        a = a[: _support(a)]
+        return Series([sum(map(mul, a, b[k::-1])) for k in range(order + 1)])
 
     def __truediv__(self, other: "Series") -> "Series":
-        """Exact quotient; the divisor needs an invertible constant term."""
-        g = other.coeffs
-        g0 = g[0]
+        """Exact quotient; the divisor needs an invertible constant term, and
+        its trailing zeros are skipped."""
+        order = min(self.order, other.order)
+        g0, *g_tail = other.coeffs[: _support(other.coeffs[: order + 1])]
         if g0 == 0:
             raise ZeroDivisionError("divisor has no constant term")
-        order = min(self.order, other.order)
         f = self.coeffs
         q: list = []
         for k in range(order + 1):
-            acc = f[k] - sum(map(mul, q, g[k:0:-1])) if k else f[0]
+            acc = f[k] - sum(map(mul, g_tail, reversed(q)))
             if g0 == 1:
                 q.append(acc)
             elif g0 == -1:
@@ -131,14 +119,11 @@ class Series:
                 q.append(Fraction(acc, g0) if isinstance(acc, int) else acc / g0)
         return Series(q)
 
-    def prefix_sums(self) -> "Series":
-        """Multiply by 1/(1-z): running sums of the coefficients."""
-        out = []
-        acc = 0
-        for c in self.coeffs:
-            acc += c
-            out.append(acc)
-        return Series(out)
+
+def _support(coeffs: tuple) -> int:
+    """Length of coeffs without its trailing zeros, at least 1: a product
+    with a polynomial such as z**3 or 1 - z then costs O(order)."""
+    return max((i + 1 for i, c in enumerate(coeffs) if c), default=1)
 
 
 def catalan(n: int) -> int:
@@ -275,46 +260,56 @@ class ParamKind(Enum):
 REDEX_PARAMS = tuple(p for p in ParamKind if p is not ParamKind.UNSUSPENDED)
 
 
+def _param_kind(param: ParamKind) -> ParamKind:
+    if param.__class__ is not ParamKind:
+        raise TypeError(f"not a ParamKind: {param!r}")
+    return param
+
+
 def param_value(term: Term, param: ParamKind) -> int:
     """Value of the parameter on one term."""
-    if param is ParamKind.UNSUSPENDED:
+    if _param_kind(param) is ParamKind.UNSUSPENDED:
         return unsuspended_constructors(term)
     return count_all_redexes(term)[param.rule_kind]
 
 
-def _expectation_totals(order: int) -> dict[ParamKind, Series]:
-    """Series whose n-th coefficient is the parameter total over all
-    size-n terms (the u-derivative at u=1 of each marked system).
+def _marked_totals(one, z, t, s) -> dict:
+    """Every parameter's total generating function, over any ring with
+    + - * / holding one, z and the counting series T, S: ``Series`` here,
+    the field of ``tools/derive_recurrences.py`` there.
 
-    The O(order**2) oracle for ``_RECURRENCES``; nothing serves from it."""
-    t, s, _ = solve_core_series(order)
-    t2 = t * t
-    ts = t * s
-    z = Series.z(order)
-    one = Series.one(order)
-    pref_t = t.prefix_sums()  # T/(1-z)
-    pref_s = s.prefix_sums()
-    # Shared denominator for the redex-marked systems:
-    # 1 - z - zS - 2zT - z^2 T/(1-z).
-    den = one - z - s.shift(1) - t.shift(1).scale(2) - pref_t.shift(2)
-    inv_den = one / den
-    totals = {
-        ParamKind.BETA: t2.shift(2) * inv_den,
-        ParamKind.APP: (t2 * s).shift(2) * inv_den,
-        ParamKind.LAMBDA: ts.shift(2) * inv_den,
-        ParamKind.FVAR: t.shift(3) * inv_den,
-        ParamKind.RVAR: pref_t.shift(4) * inv_den,
-        ParamKind.FVARLIFT: s.shift(3) * inv_den,
-        ParamKind.RVARLIFT: pref_s.shift(4) * inv_den,
-        ParamKind.VARSHIFT: Series.geometric(order).shift(3) * inv_den,
+    Marking one redex kind with u adds (u - 1) M(z, T, S) to the system
+    T = z/(1-z) + zT + zT^2 + zTS, S = zT + zS + z; the u-derivative at
+    u = 1 is M / den, one den for all eight kinds.  Unsuspended constructors
+    are the special case: no mark enters S, so den has no z^2 T/(1-z)."""
+    zt = z * t
+    tt, ts = t * t, t * s
+    t_geo, s_geo = t / (one - z), s / (one - z)  # T/(1-z), S/(1-z)
+    z2 = z * z
+    z3 = z2 * z
+    den = one - z - z * s - zt - zt - z2 * t_geo
+    marks = {
+        ParamKind.BETA: z2 * tt,
+        ParamKind.APP: z2 * tt * s,
+        ParamKind.LAMBDA: z2 * ts,
+        ParamKind.FVAR: z3 * t,
+        ParamKind.RVAR: z3 * z * t_geo,
+        ParamKind.FVARLIFT: z3 * s,
+        ParamKind.RVARLIFT: z3 * z * s_geo,
+        ParamKind.VARSHIFT: z3 / (one - z),
     }
-    # Unsuspended constructors: marking does not recurse into S, so the
-    # denominator lacks the z^2 T/(1-z) piece.
-    ramp = Series(range(order + 1))  # z/(1-z)^2
-    numerator = ramp + t.shift(1) + t2.shift(1) + ts.shift(1)
-    den_u = one - z - t.shift(1).scale(2) - s.shift(1)
-    totals[ParamKind.UNSUSPENDED] = numerator / den_u
+    totals = {param: mark / den for param, mark in marks.items()}
+    unsuspended = z / ((one - z) * (one - z)) + zt + z * tt + z * ts
+    totals[ParamKind.UNSUSPENDED] = unsuspended / (one - z - zt - zt - z * s)
     return totals
+
+
+def _expectation_totals(order: int) -> dict[ParamKind, Series]:
+    """Series whose n-th coefficient is the parameter total over all size-n
+    terms, from ``_marked_totals`` over the solved counting series.  The
+    O(order**2) oracle for ``_RECURRENCES``; nothing serves from it."""
+    t, s, _ = solve_core_series(order)
+    return _marked_totals(Series.one(order), Series.z(order), t, s)
 
 
 #: P-recurrences for the parameter totals f(n) of ``_expectation_totals``:
@@ -437,7 +432,7 @@ def expected_param_exact(param: ParamKind, n: int) -> Fraction:
     from its recurrence in O(n) big-integer steps."""
     if n < 1:
         raise ValueError("n must be positive")
-    return Fraction(_nth_value(_RECURRENCES[param], n), count_terms(n))
+    return Fraction(_nth_value(_RECURRENCES[_param_kind(param)], n), count_terms(n))
 
 
 def nested_free_fraction(n: int) -> Fraction:
@@ -452,4 +447,5 @@ def total_param_bruteforce(
     param: ParamKind, n: int, max_size: int = ENUMERATION_BOUND
 ) -> int:
     """Parameter total over all size-n terms, by exhaustive enumeration."""
+    _param_kind(param)  # also where n leaves no term to evaluate it on
     return sum(param_value(t, param) for t in enumerate_terms(n, max_size))

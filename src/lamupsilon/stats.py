@@ -150,7 +150,9 @@ def _accumulate(n: int, seed: int, lo: int, hi: int, names: tuple[str, ...]):
 
 def _worker_count(workers: Optional[int]) -> int:
     if workers is not None:
-        return max(1, workers)
+        if workers < 1:
+            raise ValueError(f"workers must be a positive integer, not {workers!r}")
+        return workers
     env = os.environ.get("UPSILON_THREADS", "").strip()
     if not env:
         return 1
@@ -173,8 +175,9 @@ def run_experiment(
     """Sample m uniform size-n terms and summarize the given parameters.
 
     ``params`` may contain ParamKind values and the string ``"nested"``.
-    Deterministic in (n, m, seed) regardless of ``workers`` (default: the
-    UPSILON_THREADS environment variable, else serial).
+    Deterministic in (n, m, seed) regardless of ``workers``, a positive
+    integer (default: the UPSILON_THREADS environment variable, else
+    serial); any other count raises ValueError.
     """
     if n < 1:
         raise InvalidSize("term size must be positive")
@@ -301,7 +304,8 @@ def export_report(
     """Write summaries as CSV or JSON; returns the number of bytes written.
 
     ``destination`` is a path or a writable text file object.  JSON
-    mirrors SampleSummary fields plus any comparisons; CSV uses the fixed
+    mirrors SampleSummary fields plus any comparisons, with an infinite
+    ``rel_err`` (a zero reference) written as null; CSV uses the fixed
     schema ``param,n,m,seed,mean,variance,min,max,m3``.
     """
     results = list(results)
@@ -322,9 +326,12 @@ def export_report(
         for s in results:
             row = asdict(s)
             if comparisons and s.param in comparisons:
-                row["comparisons"] = [asdict(c) for c in comparisons[s.param]]
+                row["comparisons"] = [
+                    {**asdict(c), "rel_err": c.rel_err if math.isfinite(c.rel_err) else None}
+                    for c in comparisons[s.param]
+                ]
             rows.append(row)
-        text = json.dumps(rows, indent=2) + "\n"
+        text = json.dumps(rows, indent=2, allow_nan=False) + "\n"
     else:
         raise ValueError(f"unknown format {format!r}")
 

@@ -280,6 +280,19 @@ def test_stats_json_schema(capsys):
             }
 
 
+def test_stats_json_is_strict_where_the_exact_reference_is_zero(capsys):
+    # no beta redex fits in size 3, so the exact reference is 0 and rel_err is null
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    code, out, _ = run_cli(capsys, "stats", "--size", "3", "--samples", "4", "--params", "beta")
+    assert code == 0
+    (row,) = json.loads(out, parse_constant=reject)
+    exact, limit = row["comparisons"]
+    assert exact["reference"] == 0.0 and exact["rel_err"] is None
+    assert limit["rel_err"] == 1.0
+
+
 def test_stats_is_deterministic(capsys):
     args = ("stats", "--size", "15", "--samples", "40", "--seed", "9")
     assert run_cli(capsys, *args) == run_cli(capsys, *args)

@@ -29,6 +29,7 @@ from lamupsilon import (
     has_nested_substitution,
     is_pure,
     nested_free_fraction,
+    param_value,
     size,
     size_sub,
     solve_core_series,
@@ -41,19 +42,32 @@ from lamupsilon import (
 
 
 def test_series_basics():
-    z = Series.z(6)
-    geom = Series.geometric(6)
-    assert (z * geom).coeffs == (0, 1, 1, 1, 1, 1, 1)
+    one, z = Series.one(6), Series.z(6)
+    geom = one / (one - z)
+    assert geom.coeffs == (1, 1, 1, 1, 1, 1, 1)
+    assert (z * geom).coeffs == (geom * z).coeffs == (0, 1, 1, 1, 1, 1, 1)
     assert (geom * geom).coeffs == (1, 2, 3, 4, 5, 6, 7)
-    assert Series(range(7)) == (geom * geom).shift(1)  # z/(1-z)^2
-    assert (Series.one(6) / geom).coeffs == (1, -1, 0, 0, 0, 0, 0)
-    assert geom.shift(2).coeffs == (0, 0, 1, 1, 1, 1, 1)
-    assert z.prefix_sums() == z * geom
+    assert Series(range(7)) == z / ((one - z) * (one - z))
+    assert (one / geom).coeffs == (1, -1, 0, 0, 0, 0, 0)
+    assert (z * z * geom).coeffs == (0, 0, 1, 1, 1, 1, 1)
+
+
+def test_sparse_factors_and_divisors_give_the_full_convolution():
+    dense = Series([3, -1, 4, 1, -5, 9, 2, -6])
+    polys = ([0] * 8, [2] + [0] * 7, [0, 1, -2] + [0] * 5, [1, -1, 0, 3] + [0] * 6)
+    for coeffs in polys:
+        poly = Series(coeffs)
+        full = tuple(
+            sum(a * b for a, b in zip(coeffs[: k + 1], dense.coeffs[k::-1])) for k in range(8)
+        )
+        assert (poly * dense).coeffs == (dense * poly).coeffs == full
+        if coeffs[0]:
+            assert (poly * dense) / poly == dense
 
 
 def test_series_division_is_exact_inverse():
     t, s, _ = solve_core_series(20)
-    den = Series.one(20) - Series.z(20) - s.shift(1)
+    den = Series.one(20) - Series.z(20) - Series.z(20) * s
     assert (t * den) / den == t
     assert all(isinstance(c, int) for c in (Series.one(20) / den).coeffs)
 
@@ -71,8 +85,8 @@ def test_series_division_needs_constant_term():
 
 
 def test_series_truncation_to_smaller_order():
-    a = Series.geometric(10)
-    b = Series.geometric(4)
+    a = Series([1] * 11)
+    b = Series([1] * 5)
     assert (a * b).order == 4
     assert (a + b).order == 4
 
@@ -294,3 +308,15 @@ def test_param_kind_maps_to_rules():
     assert ParamKind.BETA.rule_kind is RuleKind.BETA
     assert ParamKind.UNSUSPENDED.rule_kind is None
     assert ParamKind("varshift") is ParamKind.VARSHIFT
+
+
+def test_names_that_are_not_param_kinds_raise_type_error():
+    term = App(Abs(Index(0)), Index(0))
+    with pytest.raises(TypeError, match="'beta'"):
+        expected_param_exact("beta", 4)
+    with pytest.raises(TypeError, match="'beta'"):
+        param_value(term, "beta")
+    for n in (0, 4):
+        with pytest.raises(TypeError, match="'beta'"):
+            total_param_bruteforce("beta", n)
+    assert param_value(term, ParamKind.BETA) == 1

@@ -93,6 +93,12 @@ def test_worker_count_comes_from_environment(monkeypatch):
         run_experiment(10, 48, 7, [ParamKind.BETA])
 
 
+@pytest.mark.parametrize("workers", [0, -7])
+def test_non_positive_worker_count_is_rejected(workers):
+    with pytest.raises(ValueError, match=f"workers.*{workers}"):
+        run_experiment(10, 48, 7, [ParamKind.BETA], workers=workers)
+
+
 def test_experiment_summary_invariants():
     res = run_experiment(30, 200, 5, list(ParamKind))
     for s in res.values():

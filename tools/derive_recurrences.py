@@ -19,8 +19,8 @@ one in ``src/``:
 1. Write the generating function as an element y of a tower of quadratic
    extensions of Q(z) (``Quadratic`` is the arithmetic of one level), after
    checking that the counting series it is built from solve their system.
-   The nine totals F lie in Q(z)(sqrt(1 - 4z)), of degree 2 over Q(z), by
-   the same formulas as ``series._expectation_totals``.  The nested-free
+   The nine totals F lie in Q(z)(sqrt(1 - 4z)), of degree 2 over Q(z), as
+   the oracle's own marked grammar ``series._marked_totals``.  The nested-free
    counts (T~ of ``solve_restricted_series``) are a root of a quadratic
    over Q(z)(P), and P of one over Q(z), so T~ lies in
    Q(z)(sqrt(d_P))(sqrt(d_T~)), of degree 4.
@@ -283,45 +283,38 @@ K = Quadratic(QZ, QZ.rational((1, -4)))  # Q(z)(R), R = sqrt(1 - 4z)
 # --- the generating functions as elements of towers ------------------------
 
 
+class InK:
+    """An element x of K under the + - * / of ``series._marked_totals``."""
+
+    def __init__(self, x):
+        self.x = x
+
+    def __add__(self, other):
+        return InK(K.add(self.x, other.x))
+
+    def __sub__(self, other):
+        return InK(K.sub(self.x, other.x))
+
+    def __mul__(self, other):
+        return InK(K.mul(self.x, other.x))
+
+    def __truediv__(self, other):
+        return InK(K.div(self.x, other.x))
+
+
 def generating_functions() -> dict[ParamKind, tuple]:
-    """F for every parameter, transcribed from ``series._expectation_totals``."""
-    add, sub, mul = K.add, K.sub, K.mul
-    one, z, two = K.one, K.rational((0, 1)), K.rational((2,))
-    geometric = K.rational((1,), (1, -1))  # 1/(1-z)
+    """F for every parameter: ``series._marked_totals`` evaluated in K, after
+    checking that the algebraic T, S solve the counting system."""
+    one, z = InK(K.one), InK(K.rational((0, 1)))
     # C = (1 - R)/(2z), T = C - 1, S = zC/(1-z), N = z/(1-z)
-    c = K.div(sub(one, K.root), K.rational((0, 2)))
-    t = sub(c, one)
-    s = mul(mul(z, c), geometric)
-    n = mul(z, geometric)
+    c = (one - InK(K.root)) / InK(K.rational((0, 2)))
+    t = c - one
+    s = z * c / (one - z)
+    n = z / (one - z)
     # the system the series solver runs: T = N + zT + zT^2 + zTS, S = zT + zS + z
-    zt = mul(z, t)
-    rhs_t = add(add(n, zt), add(mul(zt, t), mul(zt, s)))
-    rhs_s = add(add(zt, mul(z, s)), z)
-    if rhs_t != t or rhs_s != s:
+    if (n + z * t + z * t * t + z * t * s).x != t.x or (z * t + z * s + z).x != s.x:
         raise SystemExit("the algebraic T, S do not solve the counting system")
-    z2 = mul(z, z)
-    z3, z4 = mul(z2, z), mul(z2, z2)
-    t2 = mul(t, t)
-    ts = mul(t, s)
-    pref_t = mul(t, geometric)
-    pref_s = mul(s, geometric)
-    den = sub(sub(one, z), add(add(mul(z, s), mul(two, zt)), mul(z2, pref_t)))
-    numerators = {
-        ParamKind.BETA: mul(z2, t2),
-        ParamKind.APP: mul(z2, mul(t2, s)),
-        ParamKind.LAMBDA: mul(z2, ts),
-        ParamKind.FVAR: mul(z3, t),
-        ParamKind.RVAR: mul(z4, pref_t),
-        ParamKind.FVARLIFT: mul(z3, s),
-        ParamKind.RVARLIFT: mul(z4, pref_s),
-        ParamKind.VARSHIFT: mul(z3, geometric),
-    }
-    out = {param: K.div(num, den) for param, num in numerators.items()}
-    ramp = K.rational((0, 1), (1, -2, 1))  # z/(1-z)^2
-    numerator = add(add(ramp, zt), add(mul(zt, t), mul(zt, s)))
-    den_u = sub(sub(one, z), add(mul(two, zt), mul(z, s)))
-    out[ParamKind.UNSUSPENDED] = K.div(numerator, den_u)
-    return out
+    return {param: f.x for param, f in series._marked_totals(one, z, t, s).items()}
 
 
 def nested_free_tower():
