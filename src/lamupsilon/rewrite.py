@@ -27,7 +27,6 @@ from .terms import (
     Position,
     Slash,
     Term,
-    children,
     is_pure,
     replace_at,
     size,
@@ -170,7 +169,7 @@ def find_redexes(term: Term, kinds: Optional[Iterable[RuleKind]] = None) -> list
         path[depth:] = (ordinal,)  # path[0] stands for the root
         if (kind := match_redex(node)) in wanted:
             found.append(Redex(tuple(path[1:]), kind))
-        kids = children(node)
+        kids = node._children()
         for i in range(len(kids) - 1, -1, -1):
             stack.append((kids[i], depth + 1, i))
     return found
@@ -191,14 +190,14 @@ def count_all_redexes(term: Term) -> dict[RuleKind, int]:
             kind = match_redex(node)
             if kind is not None:
                 counts[kind] += 1
-        stack.extend(children(node))
+        stack += node._children()
     return counts
 
 
 def _snapshot(parents: list[Term], ordinals: list[int], focus: Term) -> Term:
     """Current whole term; repairs stale ``parents`` in place."""
     for depth in range(len(parents) - 1, -1, -1):
-        if children(parents[depth])[ordinals[depth]] is not focus:
+        if parents[depth]._children()[ordinals[depth]] is not focus:
             parents[depth] = with_child(parents[depth], ordinals[depth], focus)
         focus = parents[depth]
     return focus
@@ -247,7 +246,7 @@ def normalize(
                     resume = ordinals.pop()
                     focus = with_child(parents.pop(), resume, focus)
                 continue
-        kids = children(focus)
+        kids = focus._children()
         if resume < len(kids):
             parents.append(focus)
             ordinals.append(resume)
@@ -256,7 +255,7 @@ def normalize(
         if not parents:
             return focus, Trace(tuple(steps))
         node, ordinal = parents.pop(), ordinals.pop()
-        if children(node)[ordinal] is not focus:
+        if node._children()[ordinal] is not focus:
             node = with_child(node, ordinal, focus)
         focus, resume, test = node, ordinal + 1, False
 
@@ -291,7 +290,7 @@ def has_nested_substitution(term: Term) -> bool:
         node = stack.pop()
         if isinstance(node, Slash) and not is_pure(node.term):
             return True
-        stack.extend(children(node))
+        stack += node._children()
     return False
 
 

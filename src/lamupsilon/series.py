@@ -257,9 +257,6 @@ class ParamKind(Enum):
         return None if self is ParamKind.UNSUSPENDED else RuleKind[self.name]
 
 
-REDEX_PARAMS = tuple(p for p in ParamKind if p is not ParamKind.UNSUSPENDED)
-
-
 def _param_kind(param: ParamKind) -> ParamKind:
     if param.__class__ is not ParamKind:
         raise TypeError(f"not a ParamKind: {param!r}")

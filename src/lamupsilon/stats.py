@@ -2,9 +2,10 @@
 
 Each sample index owns a derived random stream, so results are a pure
 function of (size, sample count, seed): re-runs and different worker
-counts produce bit-identical summaries.  Moments are accumulated as exact
-integers and only divided at the end; the stored decimals are rounded to
-12 significant digits, which also makes export/import round-trips exact.
+counts produce bit-identical summaries.  Moments are exact integer sums,
+taken once over all sample values and only divided at the end; the stored
+decimals are rounded to 12 significant digits, which also makes
+export/import round-trips exact.
 """
 
 from __future__ import annotations
@@ -127,25 +128,11 @@ def _evaluate(term, names: tuple[str, ...]) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _accumulate(n: int, seed: int, lo: int, hi: int, names: tuple[str, ...]):
-    """Exact moment sums over sample indices [lo, hi)."""
-    k = len(names)
-    s1 = [0] * k
-    s2 = [0] * k
-    s3 = [0] * k
-    mn = [None] * k
-    mx = [None] * k
-    for i in range(lo, hi):
-        term = sample_term(n, Rng.derived(seed, i))
-        for j, x in enumerate(_evaluate(term, names)):
-            s1[j] += x
-            s2[j] += x * x
-            s3[j] += x * x * x
-            if mn[j] is None or x < mn[j]:
-                mn[j] = x
-            if mx[j] is None or x > mx[j]:
-                mx[j] = x
-    return s1, s2, s3, mn, mx
+def _sample_values(
+    n: int, seed: int, lo: int, hi: int, names: tuple[str, ...]
+) -> list[tuple[int, ...]]:
+    """Parameter values of the samples with indices [lo, hi), one tuple each."""
+    return [_evaluate(sample_term(n, Rng.derived(seed, i)), names) for i in range(lo, hi)]
 
 
 def _worker_count(workers: Optional[int]) -> int:
@@ -189,7 +176,7 @@ def run_experiment(
 
     workers = _worker_count(workers)
     if workers == 1 or m < 4 * workers:
-        parts = [_accumulate(n, seed, 0, m, names)]
+        rows = _sample_values(n, seed, 0, m, names)
     else:
         # imported here: loading multiprocessing costs every command start-up
         from concurrent.futures import ProcessPoolExecutor
@@ -197,20 +184,16 @@ def run_experiment(
         bounds = [m * w // workers for w in range(workers + 1)]
         jobs = [(n, seed, bounds[w], bounds[w + 1], names) for w in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_accumulate, *zip(*jobs)))
-
-    k = len(names)
-    s1 = [sum(part[0][j] for part in parts) for j in range(k)]
-    s2 = [sum(part[1][j] for part in parts) for j in range(k)]
-    s3 = [sum(part[2][j] for part in parts) for j in range(k)]
-    mn = [min(part[3][j] for part in parts) for j in range(k)]
-    mx = [max(part[4][j] for part in parts) for j in range(k)]
+            rows = [row for part in pool.map(_sample_values, *zip(*jobs)) for row in part]
 
     out: dict[str, SampleSummary] = {}
-    for j, name in enumerate(names):
-        mean = Fraction(s1[j], m)
-        variance = (Fraction(s2[j]) - Fraction(s1[j] * s1[j], m)) / (m - 1)
-        m3 = (Fraction(s3[j]) - 3 * mean * s2[j] + 2 * mean**2 * s1[j]) / m
+    for name, values in zip(names, zip(*rows)):
+        s1 = sum(values)
+        s2 = sum(x * x for x in values)
+        s3 = sum(x * x * x for x in values)
+        mean = Fraction(s1, m)
+        variance = (Fraction(s2) - Fraction(s1 * s1, m)) / (m - 1)
+        m3 = (Fraction(s3) - 3 * mean * s2 + 2 * mean**2 * s1) / m
         out[name] = SampleSummary(
             param=name,
             size=n,
@@ -218,8 +201,8 @@ def run_experiment(
             seed=seed,
             mean=round12(float(mean)),
             variance=round12(float(variance)),
-            min=mn[j],
-            max=mx[j],
+            min=min(values),
+            max=max(values),
             third_central_moment=round12(float(m3)),
         )
     return out

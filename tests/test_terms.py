@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given
 
@@ -57,6 +59,12 @@ def test_every_term_has_positive_size(t):
 def test_negative_index_rejected():
     with pytest.raises(ValueError):
         Index(-1)
+
+
+def test_non_int_index_rejected():
+    for n in (2.5, 1.0, True):
+        with pytest.raises(TypeError):
+            Index(n)
 
 
 def test_is_pure_examples():
@@ -134,6 +142,29 @@ def test_child_ordering():
     assert children(Index(9)) == ()
     assert children(SHIFT) == ()
     assert isinstance(with_child(t, 1, SHIFT).sub, Shift)
+
+
+def test_layout_error_paths():
+    with pytest.raises(TypeError):
+        children(object())
+    x = Index(3)
+    for node, ordinal in ((Index(0), 0), (SHIFT, 0), (App(Index(0), Index(1)), 2)):
+        with pytest.raises(ValueError):
+            with_child(node, ordinal, x)
+
+
+@pytest.mark.parametrize("node", [
+    Abs(Index(0)),
+    App(Index(0), Index(1)),
+    Closure(Index(0), SHIFT),
+    Slash(Index(2)),
+    Lift(SHIFT),
+])
+def test_children_are_the_fields_in_order(node):
+    # with_child rebuilds through the class from children(), and repr prints
+    # the fields: both need the children to be the fields, in field order
+    assert children(node) == tuple(getattr(node, f.name) for f in fields(node))
+    assert with_child(node, 0, Index(5)) == type(node)(Index(5), *children(node)[1:])
 
 
 def test_positions_resolve_and_replace():
