@@ -13,7 +13,7 @@ import json
 import sys
 from decimal import Decimal
 
-from .rewrite import BudgetExceeded, normalize, trace_to_json
+from .rewrite import BudgetExceeded, _trace_items, normalize
 from .series import ParamKind, _catalans, expected_param_exact
 from .stats import NESTED, default_comparisons, export_report, run_experiment
 from .syntax import ParseError, parse_term, render_term
@@ -138,7 +138,11 @@ def _cmd_normalize(args) -> int:
         normal, trace, code = stopped.term, stopped.trace, 1
     print(render_term(normal))
     if args.trace:
-        print(json.dumps(trace_to_json(trace)))
+        # one step at a time, byte-identical to json.dumps(trace_to_json(trace))
+        sys.stdout.write("[")
+        for i, item in enumerate(_trace_items(trace)):
+            sys.stdout.write((", " if i else "") + json.dumps(item))
+        sys.stdout.write("]\n")
     if code:
         print(
             f"step budget of {args.max_steps} exhausted; result is not normal",
@@ -168,7 +172,7 @@ def _cmd_stats(args) -> int:
         return _usage_error(str(err))
     comparisons = {name: default_comparisons(s) for name, s in summaries.items()}
     export_report(
-        [summaries[name] for name in params],
+        list(summaries.values()),
         format="json",
         destination=sys.stdout,
         comparisons=comparisons,

@@ -92,20 +92,21 @@ class BudgetExceeded(Exception):
 
 def match_redex(term: Term) -> Optional[RuleKind]:
     """The unique rule matching at the root, if any."""
-    if isinstance(term, App):
-        return RuleKind.BETA if isinstance(term.fun, Abs) else None
-    if isinstance(term, Closure):
+    if term.__class__ is Closure:
         body, sub = term.body, term.sub
-        if isinstance(body, App):
+        if body.__class__ is App:
             return RuleKind.APP
-        if isinstance(body, Abs):
+        if body.__class__ is Abs:
             return RuleKind.LAMBDA
-        if isinstance(body, Index):
-            if isinstance(sub, Slash):
-                return RuleKind.FVAR if body.n == 0 else RuleKind.RVAR
-            if isinstance(sub, Lift):
-                return RuleKind.FVARLIFT if body.n == 0 else RuleKind.RVARLIFT
+        if body.__class__ is not Index:
+            return None
+        if sub.__class__ is Slash:
+            return RuleKind.RVAR if body.n else RuleKind.FVAR
+        if sub.__class__ is not Lift:
             return RuleKind.VARSHIFT
+        return RuleKind.RVARLIFT if body.n else RuleKind.FVARLIFT
+    if term.__class__ is App and term.fun.__class__ is Abs:
+        return RuleKind.BETA
     return None
 
 
@@ -186,10 +187,9 @@ def count_all_redexes(term: Term) -> dict[RuleKind, int]:
     stack = [term]
     while stack:
         node = stack.pop()
-        if isinstance(node, (App, Closure)):
-            kind = match_redex(node)
-            if kind is not None:
-                counts[kind] += 1
+        kind = match_redex(node)
+        if kind is not None:
+            counts[kind] += 1
         stack += node._children()
     return counts
 
@@ -260,20 +260,21 @@ def normalize(
         focus, resume, test = node, ordinal + 1, False
 
 
-def trace_to_json(trace: Trace) -> list[dict]:
-    """Wire format: ``[{"rule": ..., "position": [...], "term": ...}]``."""
-    out = []
+def _trace_items(trace: Trace):
+    """The wire-format items of ``trace``, rendered one step at a time."""
     for step in trace.steps:
         if step.result is None:
             raise ValueError("trace was recorded without result terms")
-        out.append(
-            {
-                "rule": step.rule.value,
-                "position": list(step.position),
-                "term": render_term(step.result),
-            }
-        )
-    return out
+        yield {
+            "rule": step.rule.value,
+            "position": list(step.position),
+            "term": render_term(step.result),
+        }
+
+
+def trace_to_json(trace: Trace) -> list[dict]:
+    """Wire format: ``[{"rule": ..., "position": [...], "term": ...}]``."""
+    return list(_trace_items(trace))
 
 
 def has_nested_substitution(term: Term) -> bool:
@@ -300,20 +301,14 @@ def unsuspended_constructors(term: Term) -> int:
     stack = [term]
     while stack:
         node = stack.pop()
-        if isinstance(node, Index):
-            total += node.n + 1
-        elif isinstance(node, Abs):
-            total += 1
-            stack.append(node.body)
-        elif isinstance(node, App):
-            total += 1
-            stack.append(node.fun)
-            stack.append(node.arg)
-        elif isinstance(node, Closure):
-            total += 1
-            stack.append(node.body)  # node.sub is suspended: skip it
-        else:
+        if not isinstance(node, Term):
             raise TypeError(f"not a term: {node!r}")
+        if node.__class__ is Index:
+            total += node.n + 1
+        else:
+            total += 1
+            # a closure's substitution is suspended: take only its body
+            stack += (node.body,) if node.__class__ is Closure else node._children()
     return total
 
 

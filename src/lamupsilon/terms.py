@@ -12,13 +12,16 @@ are conceptually unary numerals, although they are stored as machine
 integers).
 
 Each node class states its child layout once, in its ``_children``
-method, and every walk reads that method.  Equality and hashing compare
-the term code: the pre-order list of per-node codes, ``n`` for
-``Index(n)`` and the class's fixed negative ``_tag`` for every other node.
-A tag fixes its node's number of children, so the code is a prefix code
-and determines the term.  The code holds ints only, so hashes repeat
-across interpreters, and it is read with an explicit stack, so depth is
-limited by memory only, never by the recursion limit.
+method, and every walk reads that method.  Every node class, and the
+skeletons of ``trees``, inherit equality, hashing and ``repr`` from one
+base, ``_Node``: two nodes are equal when they have the same class and
+the same code, and the hash is that of the code.  A term's code is its
+term code: the pre-order list of per-node codes, ``n`` for ``Index(n)``
+and the class's fixed negative ``_tag`` for every other node.  A tag fixes
+its node's number of children, so the code is a prefix code and
+determines the term.  The code holds ints only, so hashes repeat across
+interpreters, and it and ``repr`` are built with explicit stacks, so depth
+is limited by memory only, never by the recursion limit.
 """
 
 from __future__ import annotations
@@ -26,53 +29,53 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 
-def _code(node: Node) -> list[int]:
-    """The term code of a node: pre-order, ``n`` for ``Index(n)`` and the
-    class's ``_tag`` for every other node."""
-    code, stack = [], [node]
-    while stack:
-        node = stack.pop()
-        if node.__class__ is Index:
-            code.append(node.n)
-        else:
-            code.append(node._tag)
-            stack += node._children()[::-1]
-    return code
+class _Node:
+    """The node protocol shared by every term class and by ``trees.BinTree``:
+    equality, hashing and ``repr`` all read the node's code."""
+
+    __slots__ = ()
+
+    def _code(self) -> list[int]:
+        """The term code: pre-order, ``n`` for ``Index(n)`` and the class's
+        ``_tag`` for every other node."""
+        code, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if node.__class__ is Index:
+                code.append(node.n)
+            else:
+                code.append(node._tag)
+                stack += node._children()[::-1]
+        return code
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._code() == other._code()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._code()))  # ints only, so it repeats across runs
+
+    def __repr__(self) -> str:
+        """The dataclass-generated ``repr`` text, built with an explicit
+        stack and joined once, so it takes linear time at any depth."""
+        out, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if item.__class__ is str:
+                out.append(item)
+                continue
+            pieces = [f"{item.__class__.__qualname__}("]
+            for i, field in enumerate(fields(item)):
+                value = getattr(item, field.name)
+                nested = isinstance(value, _Node)
+                pieces += (f"{', ' if i else ''}{field.name}=", value if nested else repr(value))
+            stack += reversed(pieces + [")"])
+        return "".join(out)
 
 
-def _node_eq(self, other) -> bool:
-    """Structural equality, shared by every node type: the term codes agree."""
-    if other.__class__ is not self.__class__:
-        return NotImplemented
-    return self is other or _code(self) == _code(other)
-
-
-def _node_hash(self) -> int:
-    """Structural hash, consistent with ``_node_eq``."""
-    return hash(tuple(_code(self)))  # ints only, so it repeats across runs
-
-
-def _node_repr(self) -> str:
-    """The dataclass-generated ``repr`` text, built with an explicit stack
-    and joined once, so it takes linear time at any depth; shared by every
-    node type and by ``trees.BinTree``."""
-    out, stack = [], [self]
-    while stack:
-        item = stack.pop()
-        if item.__class__ is str:
-            out.append(item)
-            continue
-        pieces = [f"{item.__class__.__qualname__}("]
-        for i, field in enumerate(fields(item)):
-            value = getattr(item, field.name)
-            shared = type(value).__repr__ is _node_repr
-            pieces += (f"{', ' if i else ''}{field.name}=", value if shared else repr(value))
-        stack += reversed(pieces + [")"])
-    return "".join(out)
-
-
-@dataclass(frozen=True, repr=False)
-class Index:
+@dataclass(frozen=True, eq=False, repr=False)
+class Index(_Node):
     """De Bruijn index; ``n`` must be an ``int`` (not a ``bool``) and
     non-negative."""
 
@@ -87,13 +90,9 @@ class Index:
     def _children(self) -> tuple:
         return ()
 
-    __eq__ = _node_eq
-    __hash__ = _node_hash
-    __repr__ = _node_repr
 
-
-@dataclass(frozen=True, repr=False)
-class Abs:
+@dataclass(frozen=True, eq=False, repr=False)
+class Abs(_Node):
     """Abstraction (binder)."""
 
     body: "Term"
@@ -103,13 +102,9 @@ class Abs:
     def _children(self) -> tuple:
         return (self.body,)
 
-    __eq__ = _node_eq
-    __hash__ = _node_hash
-    __repr__ = _node_repr
 
-
-@dataclass(frozen=True, repr=False)
-class App:
+@dataclass(frozen=True, eq=False, repr=False)
+class App(_Node):
     """Application, left-associative in the concrete syntax."""
 
     fun: "Term"
@@ -120,13 +115,9 @@ class App:
     def _children(self) -> tuple:
         return (self.fun, self.arg)
 
-    __eq__ = _node_eq
-    __hash__ = _node_hash
-    __repr__ = _node_repr
 
-
-@dataclass(frozen=True, repr=False)
-class Closure:
+@dataclass(frozen=True, eq=False, repr=False)
+class Closure(_Node):
     """A term with a suspended substitution: ``body[sub]``."""
 
     body: "Term"
@@ -137,13 +128,9 @@ class Closure:
     def _children(self) -> tuple:
         return (self.body, self.sub)
 
-    __eq__ = _node_eq
-    __hash__ = _node_hash
-    __repr__ = _node_repr
 
-
-@dataclass(frozen=True, repr=False)
-class Slash:
+@dataclass(frozen=True, eq=False, repr=False)
+class Slash(_Node):
     """Substitution of ``term`` for index 0."""
 
     term: "Term"
@@ -153,13 +140,9 @@ class Slash:
     def _children(self) -> tuple:
         return (self.term,)
 
-    __eq__ = _node_eq
-    __hash__ = _node_hash
-    __repr__ = _node_repr
 
-
-@dataclass(frozen=True, repr=False)
-class Lift:
+@dataclass(frozen=True, eq=False, repr=False)
+class Lift(_Node):
     """Substitution adjusted to pass under one binder."""
 
     sub: "Subst"
@@ -169,23 +152,15 @@ class Lift:
     def _children(self) -> tuple:
         return (self.sub,)
 
-    __eq__ = _node_eq
-    __hash__ = _node_hash
-    __repr__ = _node_repr
 
-
-@dataclass(frozen=True, repr=False)
-class Shift:
+@dataclass(frozen=True, eq=False, repr=False)
+class Shift(_Node):
     """Increment all free indices by one."""
 
     _tag = -6
 
     def _children(self) -> tuple:
         return ()
-
-    __eq__ = _node_eq
-    __hash__ = _node_hash
-    __repr__ = _node_repr
 
 
 SHIFT = Shift()

@@ -18,9 +18,11 @@ Every walk over a ``BinTree`` goes through its shape code: the pre-order
 list (left subtree before right) of per-node codes ``2*(has left) + (has
 right)``.  It is a prefix code, so it determines the tree.  ``_shape``
 reads the code off a tree and ``_from_shape`` builds a tree from one;
-equality, hashing, ``node_count``, the JSON form, ``phi``, ``phi_inv`` and
-Rémy's leaf erasure all speak codes.  Both walks use an explicit stack, so
-depth is limited by memory only, never by the recursion limit.
+``node_count``, the JSON form, ``phi``, ``phi_inv`` and Rémy's leaf
+erasure all speak codes, and ``BinTree`` inherits equality and hashing
+over its code, and ``repr``, from the term classes' base ``terms._Node``.
+Both walks use an explicit stack, so depth is limited by memory only,
+never by the recursion limit.
 """
 
 from __future__ import annotations
@@ -31,27 +33,20 @@ from functools import lru_cache
 from operator import attrgetter, itemgetter
 from typing import Optional
 
-from .terms import SHIFT, Abs, App, Closure, Index, Lift, Shift, Slash, Term, _node_repr
+from .terms import SHIFT, Abs, App, Closure, Index, Lift, Shift, Slash, Term, _Node
 
 
 class InvalidSize(ValueError):
     """There is no structure of the requested size."""
 
 
-@dataclass(frozen=True, repr=False)
-class BinTree:
+@dataclass(frozen=True, eq=False, repr=False)
+class BinTree(_Node):
     left: Optional["BinTree"] = None
     right: Optional["BinTree"] = None
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or _shape(self) == _shape(other)
-
-    def __hash__(self) -> int:
-        return hash(tuple(_shape(self)))  # ints only, so it repeats across runs
-
-    __repr__ = _node_repr
+    def _code(self) -> list[int]:
+        return _shape(self)
 
 
 LEAF = BinTree()

@@ -1,3 +1,7 @@
+import ast
+import sys
+from pathlib import Path
+
 import lamupsilon
 
 #: The public names; refactors must leave this list exactly as it is.
@@ -26,3 +30,21 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_unchanged():
     assert sorted(lamupsilon.__all__) == PUBLIC_NAMES
+
+
+def test_modules_import_only_the_standard_library():
+    # the package and its tools are stdlib-only: every absolute import is
+    # lamupsilon itself or a standard-library module
+    root = Path(__file__).resolve().parent.parent
+    sources = sorted((root / "src" / "lamupsilon").glob("*.py")) + sorted((root / "tools").glob("*.py"))
+    allowed = sys.stdlib_module_names | {"lamupsilon"}
+    for source in sources:
+        for node in ast.walk(ast.parse(source.read_text(), str(source))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.partition(".")[0] in allowed, f"{source.name} imports {name}"

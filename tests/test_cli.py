@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from lamupsilon import (
+    BudgetExceeded,
     ParamKind,
     count_substs,
     count_terms,
@@ -18,6 +19,7 @@ from lamupsilon import (
     parse_term,
     render_term,
     size,
+    trace_to_json,
 )
 from lamupsilon import cli
 from lamupsilon.cli import main
@@ -209,6 +211,19 @@ def test_normalize_budget_exhaustion(capsys):
     assert "budget" in err
 
 
+def test_streamed_trace_equals_the_library_json_after_a_budget_stop(capsys):
+    text = "(\\\\1 0) (\\0) 2"
+    code, out, _ = run_cli(capsys, "normalize", "--term", text, "--max-steps", "6", "--trace")
+    with pytest.raises(BudgetExceeded) as stopped:
+        normalize(parse_term(text), "full", 6)
+    assert code == 1 and len(stopped.value.trace) == 6
+    assert out == f"{render_term(stopped.value.term)}\n{json.dumps(trace_to_json(stopped.value.trace))}\n"
+
+
+def test_trace_of_a_normal_form_is_an_empty_array(capsys):
+    assert run_cli(capsys, "normalize", "--term", "\\0 1", "--trace") == (0, "\\0 1\n[]\n", "")
+
+
 def test_normalize_keeps_terms_only_for_trace(capsys, monkeypatch):
     traces = []
 
@@ -291,6 +306,14 @@ def test_stats_json_is_strict_where_the_exact_reference_is_zero(capsys):
     exact, limit = row["comparisons"]
     assert exact["reference"] == 0.0 and exact["rel_err"] is None
     assert limit["rel_err"] == 1.0
+
+
+def test_stats_reports_a_repeated_param_once(capsys):
+    code, out, _ = run_cli(
+        capsys, "stats", "--size", "12", "--samples", "20", "--params", "beta,nested,beta"
+    )
+    assert code == 0
+    assert [row["param"] for row in json.loads(out)] == ["beta", "nested"]
 
 
 def test_stats_is_deterministic(capsys):

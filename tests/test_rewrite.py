@@ -367,6 +367,17 @@ def test_unsuspended_constructor_examples():
     assert unsuspended_constructors(Closure(Index(0), Slash(Abs(Index(0))))) == 2
 
 
+@pytest.mark.parametrize("node", [SHIFT, App(SHIFT, Index(0)), App(1, Index(0))])
+def test_unsuspended_constructors_rejects_non_terms(node):
+    with pytest.raises(TypeError, match="not a term"):
+        unsuspended_constructors(node)
+
+
+@pytest.mark.parametrize("node", [SHIFT, Slash(Index(0)), object()])
+def test_match_redex_is_none_off_the_term_redexes(node):
+    assert match_redex(node) is None
+
+
 def test_strict_form_examples():
     assert is_strict_form_bounded(Closure(Index(0), Slash(Index(0)))) == "yes"
     assert is_strict_form_bounded(Abs(Closure(Index(0), SHIFT))) == "yes"

@@ -7,6 +7,7 @@ from lamupsilon import (
     SHIFT,
     Abs,
     App,
+    BinTree,
     Closure,
     Index,
     Lift,
@@ -105,6 +106,14 @@ def _tower(bottom):
     return node
 
 
+def test_terms_never_equal_skeletons():
+    # both hash their one-entry code (0,), but the classes differ
+    assert hash(Index(0)) == hash(BinTree()) == hash((0,))
+    assert Index(0).__eq__(BinTree()) is NotImplemented
+    assert BinTree() != Index(0) and not BinTree() == Index(0)
+    assert len({Index(0), BinTree()}) == 2
+
+
 def test_very_deep_terms_compare(default_recursion_limit):
     assert _tower(Index(0)) == _tower(Index(0))
     assert _tower(Index(0)) != _tower(Index(1))
@@ -145,8 +154,9 @@ def test_child_ordering():
 
 
 def test_layout_error_paths():
-    with pytest.raises(TypeError):
-        children(object())
+    for node in (object(), BinTree()):
+        with pytest.raises(TypeError):
+            children(node)
     x = Index(3)
     for node, ordinal in ((Index(0), 0), (SHIFT, 0), (App(Index(0), Index(1)), 2)):
         with pytest.raises(ValueError):
