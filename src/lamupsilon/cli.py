@@ -11,12 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from decimal import Decimal
 
 from .rewrite import BudgetExceeded, _trace_items, normalize
 from .series import ParamKind, _catalans, expected_param_exact
 from .stats import NESTED, default_comparisons, export_report, run_experiment
-from .syntax import ParseError, parse_term, render_term
+from .syntax import ParseError, _int_text, parse_term, render_term
 from .trees import InvalidSize, Rng, sample_term
 from .verify import SUITES
 
@@ -79,11 +78,6 @@ def _read_term_text(args) -> str | None:
         if piped.strip():
             return piped.strip()
     return args.term
-
-
-def _int_text(k: int) -> str:
-    """Decimal digits of k at any length (str() of an int stops at 4300)."""
-    return str(Decimal(k))
 
 
 def _cmd_count(args) -> int:

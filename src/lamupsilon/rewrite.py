@@ -1,5 +1,10 @@
 """The eight rewriting rules, redex search, normalization and classifiers.
 
+``match_redex`` is the one class dispatch that recognises a redex.  Each
+rule's right-hand side is a builder in one table keyed by ``RuleKind``,
+run only by ``normalize`` and ``rewrite_root``, so the counters classify
+without building.
+
 Rule left-hand sides are mutually exclusive and inspect only a node and
 its immediate children, which the normalizer exploits: after a rewrite,
 outside the freshly created subtree only the parent's redex status can
@@ -27,6 +32,7 @@ from .terms import (
     Position,
     Slash,
     Term,
+    children,
     is_pure,
     replace_at,
     size,
@@ -47,19 +53,37 @@ class RuleKind(Enum):
     RVARLIFT = "RVarLift"  # (n+1)[lift(s)]-> n[s][shift]
     VARSHIFT = "VarShift"  # n[shift]      -> n+1
 
+    __hash__ = object.__hash__  # members are singletons; Enum's hash runs Python code
+
 
 ALL_RULES = frozenset(RuleKind)
 UPSILON_RULES = frozenset(RuleKind) - {RuleKind.BETA}
 
+# Each rule's right-hand side, built from a node that match_redex gives that rule.
+_RIGHT_HAND_SIDE = {
+    RuleKind.BETA: lambda t: Closure(t.fun.body, Slash(t.arg)),
+    RuleKind.APP: lambda t: App(Closure(t.body.fun, t.sub), Closure(t.body.arg, t.sub)),
+    RuleKind.LAMBDA: lambda t: Abs(Closure(t.body.body, Lift(t.sub))),
+    RuleKind.FVAR: lambda t: t.sub.term,
+    RuleKind.RVAR: lambda t: Index(t.body.n - 1),
+    RuleKind.FVARLIFT: lambda t: Index(0),
+    RuleKind.RVARLIFT: lambda t: Closure(Closure(Index(t.body.n - 1), t.sub.sub), SHIFT),
+    RuleKind.VARSHIFT: lambda t: Index(t.body.n + 1),
+}
+
 
 @dataclass(frozen=True)
 class Redex:
+    """A claim that rule ``kind`` matches at ``position``."""
+
     position: Position
     kind: RuleKind
 
 
 @dataclass(frozen=True)
 class TraceStep:
+    """One rewrite of a trace: the rule fired and where."""
+
     rule: RuleKind
     position: Position
     result: Optional[Term]  # whole term after the step; None if not recorded
@@ -67,6 +91,8 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class Trace:
+    """The steps of a normalization, in order; its length is the step count."""
+
     steps: tuple[TraceStep, ...]
 
     def __len__(self) -> int:
@@ -110,31 +136,6 @@ def match_redex(term: Term) -> Optional[RuleKind]:
     return None
 
 
-def _contract(node: Term) -> Optional[tuple[RuleKind, Term]]:
-    """``(kind, right-hand side)`` for the redex at the root, if any.  The one
-    right-hand-side ladder; ``match_redex`` stays separate because
-    ``count_all_redexes`` only classifies and must not build right-hand sides."""
-    if node.__class__ is Closure:
-        body, sub = node.body, node.sub
-        if body.__class__ is App:
-            return RuleKind.APP, App(Closure(body.fun, sub), Closure(body.arg, sub))
-        if body.__class__ is Abs:
-            return RuleKind.LAMBDA, Abs(Closure(body.body, Lift(sub)))
-        if body.__class__ is not Index:
-            return None
-        n = body.n
-        if sub.__class__ is Slash:
-            return (RuleKind.RVAR, Index(n - 1)) if n else (RuleKind.FVAR, sub.term)
-        if sub.__class__ is not Lift:
-            return RuleKind.VARSHIFT, Index(n + 1)
-        if n == 0:
-            return RuleKind.FVARLIFT, Index(0)
-        return RuleKind.RVARLIFT, Closure(Closure(Index(n - 1), sub.sub), SHIFT)
-    if node.__class__ is App and node.fun.__class__ is Abs:
-        return RuleKind.BETA, Closure(node.fun.body, Slash(node.arg))
-    return None
-
-
 def _rule_kind(kind: RuleKind) -> RuleKind:
     if kind.__class__ is not RuleKind:
         raise TypeError(f"not a RuleKind: {kind!r}")
@@ -143,9 +144,9 @@ def _rule_kind(kind: RuleKind) -> RuleKind:
 
 def rewrite_root(term: Term, kind: RuleKind) -> Term:
     """Right-hand side for a redex of ``kind`` at the root."""
-    if (contracted := _contract(term)) is None or contracted[0] is not kind:
-        raise InvalidRedex(f"{_rule_kind(kind).value} does not match at the root")
-    return contracted[1]
+    if match_redex(term) is not _rule_kind(kind):
+        raise InvalidRedex(f"{kind.value} does not match at the root")
+    return _RIGHT_HAND_SIDE[kind](term)
 
 
 def apply_at(term: Term, redex: Redex) -> Term:
@@ -164,6 +165,7 @@ def find_redexes(term: Term, kinds: Optional[Iterable[RuleKind]] = None) -> list
     redex, so a call costs the size of the term plus the depth of each
     redex found, not the depth of every node."""
     wanted = ALL_RULES if kinds is None else frozenset(map(_rule_kind, kinds))
+    children(term)  # TypeError unless the root is a node
     found, path, stack = [], [], [(term, 0, 0)]  # (node, depth, ordinal)
     while stack:
         node, depth, ordinal = stack.pop()
@@ -184,6 +186,7 @@ def count_redexes(term: Term, kind: RuleKind) -> int:
 def count_all_redexes(term: Term) -> dict[RuleKind, int]:
     """Counts for all eight rules in a single traversal."""
     counts = dict.fromkeys(RuleKind, 0)
+    children(term)  # TypeError unless the root is a node
     stack = [term]
     while stack:
         node = stack.pop()
@@ -227,17 +230,18 @@ def normalize(
     steps: list[TraceStep] = []
     parents: list[Term] = []  # nodes on the path from the root to the focus
     ordinals: list[int] = []  # ordinals[d]: the child of parents[d] on the path
+    children(term)  # TypeError unless the root is a node
     focus: object = term
     test = True  # does the focus still need a redex test?
     resume = 0  # next child of the focus to visit
     while True:
         if test and (focus.__class__ is Closure or (beta and focus.__class__ is App)):
-            contracted = _contract(focus)
-            if contracted is not None:
+            kind = match_redex(focus)
+            if kind is not None:
                 if max_steps is not None and len(steps) >= max_steps:
                     whole = _snapshot(parents, ordinals, focus)
                     raise BudgetExceeded(whole, Trace(tuple(steps)))
-                kind, focus = contracted
+                focus = _RIGHT_HAND_SIDE[kind](focus)
                 after = _snapshot(parents, ordinals, focus) if keep_terms else None
                 steps.append(TraceStep(kind, tuple(ordinals), after))
                 resume = 0
@@ -286,6 +290,7 @@ def has_nested_substitution(term: Term) -> bool:
     slash, including those wrapped in lifts, is exactly the complement of
     the restricted grammar behind ``solve_restricted_series``.
     """
+    children(term)  # TypeError unless the root is a node
     stack = [term]
     while stack:
         node = stack.pop()

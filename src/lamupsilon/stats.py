@@ -95,6 +95,8 @@ class Tolerance:
 
 @dataclass(frozen=True)
 class ComparisonReport:
+    """Outcome of ``compare_to_reference``: the errors, the tolerance, the verdict."""
+
     observed: float
     reference: float
     abs_err: float

@@ -13,14 +13,18 @@ Grammar::
 the closure postfix ``[s]`` binds tighter than application.  Whitespace
 only separates tokens (it is required between two adjacent numerals).
 
-``parse_term(render_term(t)) == t`` for every term, and rendering uses
-minimal parentheses with single spaces.
+``parse_term(render_term(t)) == t`` for every term whose indices have at
+most 4300 digits, and rendering uses minimal parentheses with single
+spaces.  Longer indices render, but the parser rejects them, as ``int()``
+does by default.
 
 Parsing and rendering keep explicit stacks, so input of any depth works
 under the default recursion limit.
 """
 
 from __future__ import annotations
+
+from decimal import Decimal
 
 from .terms import SHIFT, Abs, App, Closure, Index, Lift, Shift, Slash, Subst, Term
 
@@ -68,6 +72,11 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             raise ParseError(i, {"a term"}, f"{ch!r}")
     tokens.append(("eof", "", n))
     return tokens
+
+
+def _int_text(k: int) -> str:
+    """Decimal digits of k at any length (str() of an int stops at 4300)."""
+    return str(Decimal(k))
 
 
 def _fail(token: tuple[str, object, int], expected: set[str]):
@@ -169,7 +178,10 @@ def _render(node, ctx: int) -> str:
             continue
         node, ctx = item
         if isinstance(node, Index):
-            out.append(str(node.n))
+            try:
+                out.append(str(node.n))
+            except ValueError:  # over str()'s digit limit; Decimal is slower
+                out.append(_int_text(node.n))
         elif isinstance(node, Abs):
             if ctx == _TOP:
                 out.append("\\")

@@ -42,6 +42,8 @@ class InvalidSize(ValueError):
 
 @dataclass(frozen=True, eq=False, repr=False)
 class BinTree(_Node):
+    """Plane binary tree skeleton; None stands for a missing child."""
+
     left: Optional["BinTree"] = None
     right: Optional["BinTree"] = None
 
@@ -77,6 +79,7 @@ def _from_shape(codes: list[int], make=BinTree):
 
 
 def node_count(tree: BinTree) -> int:
+    """Number of nodes of a skeleton, the size of the term ``phi`` gives it."""
     return len(_shape(tree))
 
 
@@ -88,6 +91,7 @@ def tree_to_json(tree: Optional[BinTree]):
 
 
 def tree_from_json(data) -> Optional[BinTree]:
+    """Inverse of ``tree_to_json``."""
     if data is None:
         return None
     return _from_shape(_shape(data, itemgetter("l", "r")))
@@ -147,7 +151,9 @@ class Rng:
         return _mix64(self._state)
 
     def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound), for 0 < bound <= 2**64."""
+        """Uniform integer in [0, bound), for an int 0 < bound <= 2**64."""
+        if bound.__class__ is not int:
+            raise TypeError(f"bound must be an int, not {bound!r}")
         if not 0 < bound <= 1 << 64:
             raise ValueError("bound must be in [1, 2**64]")
         limit = (1 << 64) - ((1 << 64) % bound)

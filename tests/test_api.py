@@ -1,4 +1,6 @@
 import ast
+import dataclasses
+import inspect
 import sys
 from pathlib import Path
 
@@ -30,6 +32,18 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_unchanged():
     assert sorted(lamupsilon.__all__) == PUBLIC_NAMES
+
+
+def test_public_classes_and_functions_have_docstrings():
+    # a dataclass without one gets its own signature as its docstring
+    for name in lamupsilon.__all__:
+        obj = getattr(lamupsilon, name)
+        if not (inspect.isclass(obj) or inspect.isfunction(obj)):
+            continue
+        generated = None
+        if dataclasses.is_dataclass(obj):
+            generated = obj.__name__ + str(inspect.signature(obj)).replace(" -> None", "")
+        assert obj.__doc__ and obj.__doc__ != generated, name
 
 
 def test_modules_import_only_the_standard_library():

@@ -220,6 +220,17 @@ def test_streamed_trace_equals_the_library_json_after_a_budget_stop(capsys):
     assert out == f"{render_term(stopped.value.term)}\n{json.dumps(trace_to_json(stopped.value.trace))}\n"
 
 
+def test_normalize_prints_an_index_past_the_int_digit_limit(capsys):
+    # the largest index the parser reads becomes one of 4301 digits, where str(int) stops
+    text = "9" * 4300 + "[shift]"
+    normal = "1" + "0" * 4300
+    assert run_cli(capsys, "normalize", "--term", text) == (0, normal + "\n", "")
+    code, out, _ = run_cli(capsys, "normalize", "--term", text, "--trace")
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == normal
+    assert json.loads(lines[1]) == [{"rule": "VarShift", "position": [], "term": normal}]
+
+
 def test_trace_of_a_normal_form_is_an_empty_array(capsys):
     assert run_cli(capsys, "normalize", "--term", "\\0 1", "--trace") == (0, "\\0 1\n[]\n", "")
 

@@ -7,6 +7,7 @@ from lamupsilon import (
     SHIFT,
     Abs,
     App,
+    BinTree,
     BudgetExceeded,
     Closure,
     Index,
@@ -24,6 +25,7 @@ from lamupsilon import (
     has_nested_substitution,
     is_pure,
     is_strict_form_bounded,
+    iter_subterms,
     match_redex,
     normalize,
     parse_term,
@@ -82,6 +84,27 @@ def test_rewrite_right_hand_sides():
         Closure(Index(4), s), SHIFT
     )
     assert rewrite_root(Closure(Index(5), SHIFT), RuleKind.VARSHIFT) == Index(6)
+
+
+def test_rewrite_root_returns_exactly_where_match_redex_agrees():
+    # every node of every term of size <= 8, substitutions included
+    returned = raised = 0
+    for n in range(1, 9):
+        for t in enumerate_terms(n):
+            for _, node in iter_subterms(t):
+                matched = match_redex(node)
+                for kind in RuleKind:
+                    try:
+                        rewrite_root(node, kind)
+                    except InvalidRedex:
+                        assert matched is not kind
+                        raised += 1
+                    else:
+                        assert matched is kind
+                        returned += 1
+    assert (returned, raised) == (2025, 108007)
+    with pytest.raises(TypeError, match="'Beta'"):
+        rewrite_root(App(Abs(Index(0)), Index(0)), "Beta")
 
 
 def test_apply_at_worked_reduction_steps():
@@ -371,6 +394,13 @@ def test_unsuspended_constructor_examples():
 def test_unsuspended_constructors_rejects_non_terms(node):
     with pytest.raises(TypeError, match="not a term"):
         unsuspended_constructors(node)
+
+
+@pytest.mark.parametrize("root", [object(), None, "0", BinTree()])
+def test_walks_reject_a_root_that_is_not_a_node(root):
+    for walk in (normalize, count_all_redexes, find_redexes, has_nested_substitution):
+        with pytest.raises(TypeError, match="not a lambda-upsilon node"):
+            walk(root)
 
 
 @pytest.mark.parametrize("node", [SHIFT, Slash(Index(0)), object()])

@@ -259,6 +259,12 @@ def test_rng_below_rejects_bounds_above_two_to_the_64():
         Rng(0).below(2**64 + 1)
 
 
+@pytest.mark.parametrize("bound", [2.5, 2.0, True])
+def test_rng_below_rejects_bounds_that_are_not_ints(bound):
+    with pytest.raises(TypeError, match="must be an int"):
+        Rng(0).below(bound)
+
+
 def test_rng_below_accepts_two_to_the_64():
     rng, raw = Rng(5), Rng(5)
     assert [rng.below(2**64) for _ in range(3)] == [raw.next_u64() for _ in range(3)]
