@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = sub.add_parser("normalize", help="rewrite to normal form")
-    p.add_argument("--term", help="input term (piped stdin takes precedence)")
+    p.add_argument("--term", help="input term (else read from piped stdin)")
     p.add_argument("--strategy", choices=["full", "upsilon"], default="full")
     p.add_argument("--max-steps", type=int, default=None, help="step budget; without "
                    "one, --strategy full may not return and --trace keeps every step")
@@ -73,11 +73,9 @@ def _usage_error(message: str) -> int:
 
 
 def _read_term_text(args) -> str | None:
-    if sys.stdin is not None and not sys.stdin.isatty():  # None: stdin closed
-        piped = sys.stdin.read()
-        if piped.strip():
-            return piped.strip()
-    return args.term
+    if args.term is not None or sys.stdin is None or sys.stdin.isatty():  # None: closed
+        return args.term
+    return sys.stdin.read().strip() or None
 
 
 def _cmd_count(args) -> int:

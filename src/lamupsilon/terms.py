@@ -11,17 +11,20 @@ counts its constructors, with the index ``n`` weighing ``n + 1`` (indices
 are conceptually unary numerals, although they are stored as machine
 integers).
 
-Each node class states its child layout once, in its ``_children``
-method, and every walk reads that method.  Every node class, and the
-skeletons of ``trees``, inherit equality, hashing and ``repr`` from one
-base, ``_Node``: two nodes are equal when they have the same class and
-the same code, and the hash is that of the code.  A term's code is its
-term code: the pre-order list of per-node codes, ``n`` for ``Index(n)``
-and the class's fixed negative ``_tag`` for every other node.  A tag fixes
-its node's number of children, so the code is a prefix code and
-determines the term.  The code holds ints only, so hashes repeat across
-interpreters, and it and ``repr`` are built with explicit stacks, so depth
-is limited by memory only, never by the recursion limit.
+Each node class is a slotted dataclass (no ``__dict__``) that states its
+child layout once, in its ``_children`` method, and every walk reads that
+method.  ``children`` is the one node check, and the fast one: it turns a
+non-node's ``AttributeError`` into a ``TypeError``.  ``_nodes`` yields
+every node once, checked, to the folds that do not depend on order.  Every
+node class, and the skeletons of ``trees``, inherit equality, hashing and
+``repr`` from one base, ``_Node``: two nodes are equal when they have the
+same class and the same code, and the hash is that of the code.  A term's
+code is its term code: the pre-order list of per-node codes, ``n`` for
+``Index(n)`` and the class's fixed negative ``_tag`` for every other node.
+A tag fixes its node's number of children, so the code is a prefix code
+and determines the term.  The code holds ints only, so hashes repeat
+across interpreters, and it and ``repr`` are built with explicit stacks,
+so depth is limited by memory only, never by the recursion limit.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ class _Node:
 
     def _code(self) -> list[int]:
         """The term code: pre-order, ``n`` for ``Index(n)`` and the class's
-        ``_tag`` for every other node."""
+        ``_tag`` for every other node.  Its own loop: a pre-order generator
+        costs it a fifth more."""
         code, stack = [], [self]
         while stack:
             node = stack.pop()
@@ -74,7 +78,7 @@ class _Node:
         return "".join(out)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Index(_Node):
     """De Bruijn index; ``n`` must be an ``int`` (not a ``bool``) and
     non-negative."""
@@ -91,7 +95,7 @@ class Index(_Node):
         return ()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Abs(_Node):
     """Abstraction (binder)."""
 
@@ -103,7 +107,7 @@ class Abs(_Node):
         return (self.body,)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class App(_Node):
     """Application, left-associative in the concrete syntax."""
 
@@ -116,7 +120,7 @@ class App(_Node):
         return (self.fun, self.arg)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Closure(_Node):
     """A term with a suspended substitution: ``body[sub]``."""
 
@@ -129,7 +133,7 @@ class Closure(_Node):
         return (self.body, self.sub)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Slash(_Node):
     """Substitution of ``term`` for index 0."""
 
@@ -141,7 +145,7 @@ class Slash(_Node):
         return (self.term,)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Lift(_Node):
     """Substitution adjusted to pass under one binder."""
 
@@ -153,7 +157,7 @@ class Lift(_Node):
         return (self.sub,)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Shift(_Node):
     """Increment all free indices by one."""
 
@@ -175,10 +179,11 @@ Position = tuple[int, ...]
 
 
 def children(node: Node) -> tuple[Node, ...]:
-    """Children of a node in canonical order."""
-    if not isinstance(node, Node):
-        raise TypeError(f"not a lambda-upsilon node: {node!r}")
-    return node._children()
+    """Children of a node in canonical order; raises TypeError for a non-node."""
+    try:
+        return node._children()
+    except AttributeError:
+        raise TypeError(f"not a lambda-upsilon node: {node!r}") from None
 
 
 def with_child(node: Node, ordinal: int, child: Node) -> Node:
@@ -191,15 +196,18 @@ def with_child(node: Node, ordinal: int, child: Node) -> Node:
     return node.__class__(*kids)
 
 
-def size(term: Term) -> int:
-    """Constructor count of a term; ``size(Index(n)) == n + 1``."""
-    total = 0
-    stack: list[Node] = [term]
+def _nodes(term: Node):
+    """Yield every node of ``term`` once, checked by ``children``, in no set order."""
+    stack = [term]
     while stack:
         node = stack.pop()
-        total += node.n + 1 if node.__class__ is Index else 1
         stack += children(node)
-    return total
+        yield node
+
+
+def size(term: Term) -> int:
+    """Constructor count of a term; ``size(Index(n)) == n + 1``."""
+    return sum(node.n + 1 if node.__class__ is Index else 1 for node in _nodes(term))
 
 
 def size_sub(sub: Subst) -> int:
@@ -209,13 +217,7 @@ def size_sub(sub: Subst) -> int:
 
 def is_pure(term: Term) -> bool:
     """True iff the term contains no closure anywhere."""
-    stack: list[Node] = [term]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Closure):
-            return False
-        stack.extend(children(node))
-    return True
+    return not any(node.__class__ is Closure for node in _nodes(term))
 
 
 def iter_subterms(term: Term):

@@ -40,7 +40,7 @@ class InvalidSize(ValueError):
     """There is no structure of the requested size."""
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class BinTree(_Node):
     """Plane binary tree skeleton; None stands for a missing child."""
 

@@ -140,8 +140,23 @@ def test_normalize_reads_stdin(capsys):
     assert code == 0 and out == "1\n"
 
 
-def test_normalize_stdin_wins_over_flag(capsys):
+def test_normalize_flag_wins_over_stdin(capsys):
     code, out, _ = run_cli(capsys, "normalize", "--term", "0", stdin="0[shift]")
+    assert code == 0 and out == "0\n"
+
+
+class _UnreadableStdin(io.StringIO):
+    """A piped stdin that nobody closes: reading it would block."""
+
+    def read(self, *args):
+        raise AssertionError("stdin was read although --term was given")
+
+
+def test_normalize_with_term_never_reads_stdin(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", _UnreadableStdin())
+    assert not sys.stdin.isatty()
+    code = main(["normalize", "--term", "0[shift]"])
+    out, _ = capsys.readouterr()
     assert code == 0 and out == "1\n"
 
 

@@ -229,6 +229,9 @@ def test_normalize_argument_validation():
         normalize(Index(0), "lazy")
     with pytest.raises(ValueError):
         normalize(Index(0), "full", max_steps=-1)
+    for budget in (2.5, True, "3"):
+        with pytest.raises(TypeError, match="max_steps must be an int"):
+            normalize(Closure(Index(0), SHIFT), "full", budget)
 
 
 def test_trace_json_format():
@@ -403,7 +406,7 @@ def test_walks_reject_a_root_that_is_not_a_node(root):
             walk(root)
 
 
-@pytest.mark.parametrize("node", [SHIFT, Slash(Index(0)), object()])
+@pytest.mark.parametrize("node", [SHIFT, Slash(Index(0)), object(), Closure(Index(0), 5)])
 def test_match_redex_is_none_off_the_term_redexes(node):
     assert match_redex(node) is None
 

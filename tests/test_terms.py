@@ -1,4 +1,6 @@
-from dataclasses import fields
+import copy
+import pickle
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given
@@ -13,6 +15,7 @@ from lamupsilon import (
     Lift,
     Shift,
     Slash,
+    has_nested_substitution,
     is_pure,
     iter_subterms,
     render_term,
@@ -175,6 +178,32 @@ def test_children_are_the_fields_in_order(node):
     # the fields: both need the children to be the fields, in field order
     assert children(node) == tuple(getattr(node, f.name) for f in fields(node))
     assert with_child(node, 0, Index(5)) == type(node)(Index(5), *children(node)[1:])
+
+
+@pytest.mark.parametrize("node", [
+    Index(3),
+    Abs(Index(0)),
+    App(Index(0), Index(1)),
+    Closure(Index(0), SHIFT),
+    Slash(Index(2)),
+    Lift(SHIFT),
+    SHIFT,
+    BinTree(BinTree(), None),
+])
+def test_nodes_are_slotted_and_frozen(node):
+    assert not hasattr(node, "__dict__")
+    assert pickle.loads(pickle.dumps(node)) == node
+    assert copy.deepcopy(node) == node
+    for field in fields(node):  # Shift has none
+        with pytest.raises(FrozenInstanceError):
+            setattr(node, field.name, Index(0))
+
+
+@pytest.mark.parametrize("term", [App(1, Index(0)), App(Index(0), BinTree())])
+def test_folds_reject_a_non_node_below_the_root(term):
+    for fold in (size, is_pure, has_nested_substitution, lambda t: list(iter_subterms(t))):
+        with pytest.raises(TypeError, match="not a lambda-upsilon node"):
+            fold(term)
 
 
 def test_positions_resolve_and_replace():
