@@ -34,7 +34,7 @@ from .terms import (
     Slash,
     Term,
     _nodes,
-    children,
+    _not_a_node,
     is_pure,
     replace_at,
     size,
@@ -167,16 +167,18 @@ def find_redexes(term: Term, kinds: Optional[Iterable[RuleKind]] = None) -> list
     redex, so a call costs the size of the term plus the depth of each
     redex found, not the depth of every node."""
     wanted = ALL_RULES if kinds is None else frozenset(map(_rule_kind, kinds))
-    children(term)  # TypeError unless the root is a node
     found, path, stack = [], [], [(term, 0, 0)]  # (node, depth, ordinal)
-    while stack:
-        node, depth, ordinal = stack.pop()
-        path[depth:] = (ordinal,)  # path[0] stands for the root
-        if (kind := match_redex(node)) in wanted:
-            found.append(Redex(tuple(path[1:]), kind))
-        kids = node._children()
-        for i in range(len(kids) - 1, -1, -1):
-            stack.append((kids[i], depth + 1, i))
+    try:
+        while stack:
+            node, depth, ordinal = stack.pop()
+            path[depth:] = (ordinal,)  # path[0] stands for the root
+            if (kind := match_redex(node)) in wanted:
+                found.append(Redex(tuple(path[1:]), kind))
+            kids = node._children()
+            for i in range(len(kids) - 1, -1, -1):
+                stack.append((kids[i], depth + 1, i))
+    except AttributeError:
+        raise _not_a_node(node) from None
     return found
 
 
@@ -189,15 +191,29 @@ def count_all_redexes(term: Term) -> dict[RuleKind, int]:
     """Counts for all eight rules in a single traversal.  A loop of its own:
     on this hot path of the sampling experiment ``_nodes`` costs a quarter more."""
     counts = dict.fromkeys(RuleKind, 0)
-    children(term)  # TypeError unless the root is a node
     stack = [term]
-    while stack:
-        node = stack.pop()
-        kind = match_redex(node)
-        if kind is not None:
-            counts[kind] += 1
-        stack += node._children()
+    try:
+        while stack:
+            node = stack.pop()
+            kind = match_redex(node)
+            if kind is not None:
+                counts[kind] += 1
+            stack += node._children()
+    except AttributeError:
+        raise _not_a_node(node) from None
     return counts
+
+
+def _bound(name: str, value: Optional[int], default: Optional[int]) -> Optional[int]:
+    """``value``, or ``default`` for None; TypeError unless its class is
+    ``int`` (so not ``bool``), ValueError if it is negative."""
+    if value is None:
+        return default
+    if value.__class__ is not int:
+        raise TypeError(f"{name} must be an int, not {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative")
+    return value
 
 
 def _snapshot(parents: list[Term], ordinals: list[int], focus: Term) -> Term:
@@ -226,16 +242,12 @@ def normalize(
     """
     if strategy not in ("full", "upsilon"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if max_steps is not None and max_steps.__class__ is not int:
-        raise TypeError(f"max_steps must be an int, not {max_steps!r}")
-    if max_steps is not None and max_steps < 0:
-        raise ValueError("max_steps must be non-negative")
+    _bound("max_steps", max_steps, None)
     beta = strategy == "full"  # only Beta matches at an App
 
     steps: list[TraceStep] = []
     parents: list[Term] = []  # nodes on the path from the root to the focus
     ordinals: list[int] = []  # ordinals[d]: the child of parents[d] on the path
-    children(term)  # TypeError unless the root is a node
     focus: object = term
     test = True  # does the focus still need a redex test?
     resume = 0  # next child of the focus to visit
@@ -255,7 +267,10 @@ def normalize(
                     resume = ordinals.pop()
                     focus = with_child(parents.pop(), resume, focus)
                 continue
-        kids = focus._children()
+        try:
+            kids = focus._children()
+        except AttributeError:
+            raise _not_a_node(focus) from None
         if resume < len(kids):
             parents.append(focus)
             ordinals.append(resume)
@@ -351,42 +366,44 @@ def is_strict_form_bounded(
     redex choice).  The search enumerates all such sources up to
     ``max_source_size`` (default ``size(term) + 4``) and explores every
     reduction order for up to ``max_steps`` (default ``4*size(term) + 16``)
-    steps.  It never answers ``"no"``: exhausting the bounded search only
-    yields ``"unknown"``.
+    steps, one source at a time.  It never answers ``"no"``: exhausting
+    the bounded search only yields ``"unknown"``.  A bound that is not an
+    ``int`` raises TypeError, a negative one ValueError.
     """
     n = size(term)
-    if max_source_size is None:
-        max_source_size = n + 4
-    if max_steps is None:
-        max_steps = 4 * n + 16
+    max_source_size = _bound("max_source_size", max_source_size, n + 4)
+    max_steps = _bound("max_steps", max_steps, 4 * n + 16)
     if _is_source(term):
         return "yes"
     for body_size in range(1, max_source_size - 2):
         for slash_size in range(1, max_source_size - 1 - body_size):
             for a in _pure_terms(body_size):
                 for b in _pure_terms(slash_size):
-                    if _reaches(Closure(a, Slash(b)), term, max_steps):
+                    levels = _upsilon_levels([Closure(a, Slash(b))], max_steps)
+                    if any(term in level for level in levels):
                         return "yes"
     return "unknown"
 
 
-def _reaches(source: Term, target: Term, max_steps: int) -> bool:
-    """Breadth-first non-Beta reachability, all redex orders."""
-    if source == target:
-        return True
-    seen = {source}
-    frontier = [source]
-    for _ in range(max_steps):
-        if not frontier:
-            break
-        next_frontier = []
-        for cur in frontier:
+def _upsilon_levels(sources: Iterable[Term], max_steps: Optional[int] = None):
+    """Breadth-first walk of the non-Beta reduction graph from ``sources``,
+    all redex orders: yields level k, the terms first reached after k steps,
+    so each term once, through level ``max_steps`` (None: until none is left).
+    Each successor is hashed once, by the growth of ``seen``."""
+    seen = set(sources)
+    level = list(seen)
+    steps = 0
+    while level:
+        yield level
+        if steps == max_steps:
+            return
+        steps += 1
+        reached = []
+        for cur in level:
             for redex in find_redexes(cur, UPSILON_RULES):
                 succ = apply_at(cur, redex)
-                if succ == target:
-                    return True
-                if succ not in seen:
-                    seen.add(succ)
-                    next_frontier.append(succ)
-        frontier = next_frontier
-    return False
+                before = len(seen)
+                seen.add(succ)
+                if len(seen) > before:
+                    reached.append(succ)
+        level = reached

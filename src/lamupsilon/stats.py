@@ -332,9 +332,13 @@ def export_report(
 
 
 def import_summaries(text: str) -> list[SampleSummary]:
-    """Parse summaries back from the JSON export format."""
-    fields = set(SampleSummary.__dataclass_fields__)
-    return [
-        SampleSummary(**{k: v for k, v in row.items() if k in fields})
-        for row in json.loads(text)
-    ]
+    """Parse summaries back from the JSON export format.  Raises ValueError
+    unless ``text`` is a JSON array of objects that each hold every
+    SampleSummary field; other keys, such as ``comparisons``, are ignored."""
+    rows = json.loads(text)
+    fields = SampleSummary.__dataclass_fields__.keys()
+    if rows.__class__ is not list or not all(
+        row.__class__ is dict and row.keys() >= fields for row in rows
+    ):
+        raise ValueError("not a JSON array of objects with every SampleSummary field")
+    return [SampleSummary(**{k: row[k] for k in fields}) for row in rows]

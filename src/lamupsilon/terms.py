@@ -13,8 +13,11 @@ integers).
 
 Each node class is a slotted dataclass (no ``__dict__``) that states its
 child layout once, in its ``_children`` method, and every walk reads that
-method.  ``children`` is the one node check, and the fast one: it turns a
-non-node's ``AttributeError`` into a ``TypeError``.  ``_nodes`` yields
+method.  ``children`` is the node check, and the fast one: it turns a
+non-node's ``AttributeError`` into a ``TypeError``.  The few hot loops
+that read ``_children`` directly (the term code here, the redex walks of
+``rewrite``) catch that ``AttributeError`` around the loop and raise the
+same ``TypeError``, so any non-node in a term is rejected.  ``_nodes`` yields
 every node once, checked, to the folds that do not depend on order.  Every
 node class, and the skeletons of ``trees``, inherit equality, hashing and
 ``repr`` from one base, ``_Node``: two nodes are equal when they have the
@@ -43,13 +46,16 @@ class _Node:
         ``_tag`` for every other node.  Its own loop: a pre-order generator
         costs it a fifth more."""
         code, stack = [], [self]
-        while stack:
-            node = stack.pop()
-            if node.__class__ is Index:
-                code.append(node.n)
-            else:
-                code.append(node._tag)
-                stack += node._children()[::-1]
+        try:
+            while stack:
+                node = stack.pop()
+                if node.__class__ is Index:
+                    code.append(node.n)
+                else:
+                    code.append(node._tag)
+                    stack += node._children()[::-1]
+        except AttributeError:
+            raise _not_a_node(node) from None
         return code
 
     def __eq__(self, other) -> bool:
@@ -178,12 +184,17 @@ Node = Term | Subst
 Position = tuple[int, ...]
 
 
+def _not_a_node(node) -> TypeError:
+    """The error that every walk raises for a non-node it meets."""
+    return TypeError(f"not a lambda-upsilon node: {node!r}")
+
+
 def children(node: Node) -> tuple[Node, ...]:
     """Children of a node in canonical order; raises TypeError for a non-node."""
     try:
         return node._children()
     except AttributeError:
-        raise TypeError(f"not a lambda-upsilon node: {node!r}") from None
+        raise _not_a_node(node) from None
 
 
 def with_child(node: Node, ordinal: int, child: Node) -> Node:

@@ -91,10 +91,14 @@ def tree_to_json(tree: Optional[BinTree]):
 
 
 def tree_from_json(data) -> Optional[BinTree]:
-    """Inverse of ``tree_to_json``."""
+    """Inverse of ``tree_to_json``; raises ValueError for a node that is
+    not an object with both ``l`` and ``r``."""
     if data is None:
         return None
-    return _from_shape(_shape(data, itemgetter("l", "r")))
+    try:
+        return _from_shape(_shape(data, itemgetter("l", "r")))
+    except (KeyError, TypeError) as err:
+        raise ValueError(f"each node must be an object with 'l' and 'r': {err!r}") from None
 
 
 @lru_cache(maxsize=None)

@@ -13,13 +13,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Callable
 
-from .rewrite import (
-    RuleKind,
-    UPSILON_RULES,
-    apply_at,
-    find_redexes,
-    normalize,
-)
+from .rewrite import RuleKind, _upsilon_levels, normalize
 from .series import (
     ParamKind,
     catalan,
@@ -109,28 +103,11 @@ def suite_bijection(max_size: int = 8) -> list[CheckResult]:
 
 
 def upsilon_normal_forms_all_orders(term: Term) -> set[Term]:
-    """Normal forms reachable by non-Beta steps under every redex order,
-    by a memoised depth-first walk of the reduction graph with an explicit
-    stack; a term's forms are the union of its successors' forms."""
-    memo: dict[Term, frozenset[Term]] = {}
-    done: list[frozenset[Term]] = []
-    stack: list[tuple[Term, int]] = [(term, -1)]  # -1: not yet expanded
-    while stack:
-        t, pending = stack.pop()
-        if pending < 0:
-            forms = memo.get(t)
-            if forms is None:
-                nexts = [apply_at(t, redex) for redex in find_redexes(t, UPSILON_RULES)]
-                if nexts:
-                    stack.append((t, len(nexts)))
-                    stack += ((s, -1) for s in nexts)
-                    continue
-                forms = memo[t] = frozenset((t,))
-        else:
-            forms = memo[t] = frozenset().union(*done[-pending:])
-            del done[-pending:]
-        done.append(forms)
-    return set(done[0])
+    """Normal forms reachable by non-Beta steps under every redex order: the
+    pure terms that the reduction graph reaches.  In a well-formed term the
+    innermost closure of any chain of closures matches one of the seven
+    rules, so a term has no non-Beta redex exactly when it is pure."""
+    return {t for level in _upsilon_levels([term]) for t in level if is_pure(t)}
 
 
 def suite_rewrite(max_size: int = 8) -> list[CheckResult]:

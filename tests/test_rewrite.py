@@ -36,7 +36,7 @@ from lamupsilon import (
     trace_to_json,
     unsuspended_constructors,
 )
-from lamupsilon.rewrite import UPSILON_RULES, rewrite_root
+from lamupsilon.rewrite import UPSILON_RULES, _upsilon_levels, rewrite_root
 
 from conftest import bigstep_normal_form, naive_normalize, terms
 
@@ -433,6 +433,56 @@ def test_strict_form_finds_multi_step_witnesses():
     # \(1[lift(0/)]) comes from (\1)[0/] after one Lambda step
     t = Abs(Closure(Index(1), Lift(Slash(Index(0)))))
     assert is_strict_form_bounded(t) == "yes"
+
+
+def test_strict_form_bounds_are_checked():
+    for bounds in ({"max_steps": -1}, {"max_source_size": -3}):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            is_strict_form_bounded(Index(0), **bounds)
+    for name in ("max_steps", "max_source_size"):
+        for bound in (True, False, 2.5, "3"):
+            with pytest.raises(TypeError, match=f"{name} must be an int"):
+                is_strict_form_bounded(Index(0), **{name: bound})
+    # zero bounds are valid: no step beyond the sources, or no source at all
+    assert is_strict_form_bounded(Index(1), max_steps=0) == "unknown"
+    assert is_strict_form_bounded(Closure(Index(0), Slash(Index(0))), max_source_size=0) == "yes"
+
+
+def test_strict_form_answers_on_every_term_up_to_size_5():
+    # pinned from the per-source breadth-first search this oracle replaced
+    cases = [t for n in range(1, 6) for t in enumerate_terms(n)]
+    yes = sorted(render_term(t) for t in cases if is_strict_form_bounded(t) == "yes")
+    assert (len(cases), len(yes)) == (64, 47)
+    digest = hashlib.sha256("\n".join(yes).encode()).hexdigest()
+    assert digest == "3b53e7438d7c8027905c35ccae0bff9a4dbfd53358b4215273c33965d9253ae3"
+
+
+def _upsilon_closure(term):
+    """Every term that non-Beta steps reach from ``term``, as a naive fixpoint."""
+    reached = {term}
+    while True:
+        grown = reached | {
+            apply_at(t, redex) for t in reached for redex in find_redexes(t, UPSILON_RULES)
+        }
+        if grown == reached:
+            return reached
+        reached = grown
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_upsilon_levels_are_the_breadth_first_levels(n):
+    for t in enumerate_terms(n):
+        levels = list(_upsilon_levels([t]))
+        assert levels[0] == [t]
+        seen = {t}
+        for level, reached in zip(levels, levels[1:]):
+            # level k + 1: the one-step successors of level k not met before
+            steps = {apply_at(s, r) for s in level for r in find_redexes(s, UPSILON_RULES)}
+            assert len(set(reached)) == len(reached) and set(reached) == steps - seen
+            seen |= steps
+        assert sum(map(len, levels)) == len(seen)  # disjoint levels
+        assert seen == _upsilon_closure(t)
+        assert list(_upsilon_levels([t], 1)) == levels[:2]
 
 
 def test_upsilon_normal_forms_of_a_long_reduction(default_recursion_limit):

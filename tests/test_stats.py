@@ -247,6 +247,12 @@ def test_json_export_round_trips(tmp_path):
     assert import_summaries(buf.getvalue()) == summaries
 
 
+@pytest.mark.parametrize("text", ["{}", "null", "[1]", "[[]]", "[{}]", '[{"param": "beta"}]'])
+def test_import_rejects_anything_but_an_array_of_summaries(text):
+    with pytest.raises(ValueError):
+        import_summaries(text)
+
+
 def test_json_export_embeds_comparisons():
     res = run_experiment(7, 40, 2, [ParamKind.BETA])
     report = compare_to_reference(
@@ -258,6 +264,7 @@ def test_json_export_embeds_comparisons():
     assert data[0]["comparisons"][0]["verdict"] == report.verdict
     assert set(data[0]["comparisons"][0]) == set(ComparisonReport.__dataclass_fields__)
     assert set(data[0]) == set(SampleSummary.__dataclass_fields__) | {"comparisons"}
+    assert import_summaries(buf.getvalue()) == list(res.values())  # comparisons ignored
 
 
 def test_export_rejects_empty_and_unknown():

@@ -15,9 +15,12 @@ from lamupsilon import (
     Lift,
     Shift,
     Slash,
+    count_all_redexes,
+    find_redexes,
     has_nested_substitution,
     is_pure,
     iter_subterms,
+    normalize,
     render_term,
     replace_at,
     size,
@@ -199,9 +202,11 @@ def test_nodes_are_slotted_and_frozen(node):
             setattr(node, field.name, Index(0))
 
 
-@pytest.mark.parametrize("term", [App(1, Index(0)), App(Index(0), BinTree())])
+@pytest.mark.parametrize("term", [App(1, Index(0)), App(Index(0), BinTree()), Abs(None)])
 def test_folds_reject_a_non_node_below_the_root(term):
-    for fold in (size, is_pure, has_nested_substitution, lambda t: list(iter_subterms(t))):
+    folds = (size, is_pure, has_nested_substitution, lambda t: list(iter_subterms(t)),
+             count_all_redexes, find_redexes, normalize, hash)
+    for fold in folds:
         with pytest.raises(TypeError, match="not a lambda-upsilon node"):
             fold(term)
 

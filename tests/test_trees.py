@@ -229,6 +229,15 @@ def test_tree_json_round_trip():
     assert tree_from_json(json.loads(json.dumps(encoded))) == tree
 
 
+@pytest.mark.parametrize("data", [
+    5, "ab", [None, None], {"l": None}, {"r": None}, {"l": 5, "r": None},
+    {"l": None, "r": {"l": None}}, {"l": None, "r": []},
+])
+def test_tree_from_json_rejects_a_malformed_node(data):
+    with pytest.raises(ValueError, match="each node must be an object with 'l' and 'r'"):
+        tree_from_json(data)
+
+
 # --- the random generator ----------------------------------------------
 
 
