@@ -23,6 +23,12 @@ inhomogeneous ODE, proved by construction, and the recurrence is read off
 it.  The tool checks every table against the series oracles to order 2048
 (enumeration checks the shared grammar); the derivation takes about a
 second and a half.
+
+The serving path touches no term, so this module imports ``rewrite`` and
+``terms`` only inside the oracles and per-term helpers that need them: a
+fresh interpreter that serves the exact values loads this module alone.
+``tests/test_api.py`` pins that module set, so a module-level import of
+either fails there rather than as a slower start-up.
 """
 
 from __future__ import annotations
@@ -33,10 +39,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
 from operator import mul
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
-from .rewrite import RuleKind, count_all_redexes, unsuspended_constructors
-from .terms import SHIFT, Abs, App, Closure, Index, Lift, Slash, Subst, Term
+if TYPE_CHECKING:
+    from .rewrite import RuleKind
+    from .terms import Subst, Term
 
 
 class BoundExceeded(ValueError):
@@ -133,9 +140,16 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
+def _size(n: int) -> int:
+    """``n``; TypeError unless its class is ``int`` (so not ``bool``)."""
+    if n.__class__ is not int:
+        raise TypeError(f"n must be an int, not {n!r}")
+    return n
+
+
 def count_terms(n: int) -> int:
     """Number of terms of size n: Catalan(n) for n >= 1, zero at n = 0."""
-    return 0 if n == 0 else catalan(n)
+    return 0 if _size(n) == 0 else catalan(n)
 
 
 def _catalans() -> Iterator[int]:
@@ -148,7 +162,7 @@ def _catalans() -> Iterator[int]:
 
 def count_substs(n: int) -> int:
     """Number of substitutions of size n: the partial Catalan sum below n."""
-    return sum(islice(_catalans(), max(n, 0)))
+    return sum(islice(_catalans(), max(_size(n), 0)))
 
 
 @lru_cache(maxsize=None)
@@ -199,6 +213,8 @@ ENUMERATION_BOUND = 10
 
 @lru_cache(maxsize=None)
 def _terms_of_size(n: int) -> tuple[Term, ...]:
+    from .terms import Abs, App, Closure, Index
+
     if n <= 0:
         return ()
     out: list[Term] = [Index(n - 1)]
@@ -216,6 +232,8 @@ def _terms_of_size(n: int) -> tuple[Term, ...]:
 
 @lru_cache(maxsize=None)
 def _substs_of_size(n: int) -> tuple[Subst, ...]:
+    from .terms import SHIFT, Lift, Slash
+
     if n <= 0:
         return ()
     out: list[Subst] = [SHIFT] if n == 1 else []
@@ -226,14 +244,14 @@ def _substs_of_size(n: int) -> tuple[Subst, ...]:
 
 def enumerate_terms(n: int, max_size: int = ENUMERATION_BOUND) -> tuple[Term, ...]:
     """All distinct terms of size exactly n, each exactly once."""
-    if n > max_size:
+    if _size(n) > max_size:
         raise BoundExceeded(f"size {n} exceeds the enumeration bound {max_size}")
     return _terms_of_size(n)
 
 
 def enumerate_substs(n: int, max_size: int = ENUMERATION_BOUND) -> tuple[Subst, ...]:
     """All distinct substitutions of size exactly n."""
-    if n > max_size:
+    if _size(n) > max_size:
         raise BoundExceeded(f"size {n} exceeds the enumeration bound {max_size}")
     return _substs_of_size(n)
 
@@ -254,6 +272,8 @@ class ParamKind(Enum):
 
     @property
     def rule_kind(self) -> Optional[RuleKind]:
+        from .rewrite import RuleKind
+
         return None if self is ParamKind.UNSUSPENDED else RuleKind[self.name]
 
 
@@ -265,6 +285,8 @@ def _param_kind(param: ParamKind) -> ParamKind:
 
 def param_value(term: Term, param: ParamKind) -> int:
     """Value of the parameter on one term."""
+    from .rewrite import count_all_redexes, unsuspended_constructors
+
     if _param_kind(param) is ParamKind.UNSUSPENDED:
         return unsuspended_constructors(term)
     return count_all_redexes(term)[param.rule_kind]
@@ -427,7 +449,7 @@ def _nth_value(entry, n: int) -> int:
 def expected_param_exact(param: ParamKind, n: int) -> Fraction:
     """Exact expectation of the parameter over uniform size-n terms,
     from its recurrence in O(n) big-integer steps."""
-    if n < 1:
+    if _size(n) < 1:
         raise ValueError("n must be positive")
     return Fraction(_nth_value(_RECURRENCES[_param_kind(param)], n), count_terms(n))
 
@@ -435,7 +457,7 @@ def expected_param_exact(param: ParamKind, n: int) -> Fraction:
 def nested_free_fraction(n: int) -> Fraction:
     """Exact share of size-n terms without any nested substitution,
     from the T~ recurrence in O(n) big-integer steps."""
-    if n < 1:
+    if _size(n) < 1:
         raise ValueError("n must be positive")
     return Fraction(_nth_value(_NESTED_FREE_RECURRENCE, n), count_terms(n))
 

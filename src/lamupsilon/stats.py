@@ -19,7 +19,12 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .rewrite import count_all_redexes, has_nested_substitution, unsuspended_constructors
+from .rewrite import (
+    RuleKind,
+    count_all_redexes,
+    has_nested_substitution,
+    unsuspended_constructors,
+)
 from .series import ParamKind, expected_param_exact, nested_free_fraction
 from .trees import InvalidSize, Rng, sample_term
 
@@ -126,7 +131,7 @@ def _evaluate(term, names: tuple[str, ...]) -> tuple[int, ...]:
         else:
             if redexes is None:
                 redexes = count_all_redexes(term)
-            values.append(redexes[ParamKind(name).rule_kind])
+            values.append(redexes[RuleKind[ParamKind(name).name]])
     return tuple(values)
 
 

@@ -1,8 +1,14 @@
 import ast
 import dataclasses
 import inspect
+import os
+import pickle
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
+
+import pytest
 
 import lamupsilon
 
@@ -30,8 +36,60 @@ PUBLIC_NAMES = [
 ]
 
 
+def _fresh_interpreter(code: str, stdin: bytes = b"") -> bytes:
+    """stdout of ``code`` run in a new interpreter that sees this lamupsilon."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    argv = [sys.executable, "-c", textwrap.dedent(code)]
+    run = subprocess.run(argv, input=stdin, env=env, capture_output=True)
+    assert run.returncode == 0, run.stderr.decode()
+    return run.stdout
+
+
 def test_public_names_are_unchanged():
     assert sorted(lamupsilon.__all__) == PUBLIC_NAMES
+    # the names load lazily, but a star import binds every one of them
+    star: dict = {}
+    exec("from lamupsilon import *", star)
+    for name in lamupsilon.__all__:
+        assert star[name] is getattr(lamupsilon, name), name
+    assert set(lamupsilon.__all__) <= set(dir(lamupsilon))
+    with pytest.raises(AttributeError, match="^module 'lamupsilon' has no attribute 'no_such_name'$"):
+        lamupsilon.no_such_name
+
+
+def test_import_loads_only_what_is_used():
+    # the exact path touches no term: a module-level import of rewrite or
+    # terms in series would show up here as a larger module set
+    code = """
+        import sys
+        loaded = lambda: sorted(m for m in sys.modules if m.partition(".")[0] == "lamupsilon")
+        import lamupsilon
+        print(loaded())
+        lamupsilon.expected_param_exact(lamupsilon.ParamKind.BETA, 5)
+        lamupsilon.nested_free_fraction(5)
+        print(loaded(), "dataclasses" in sys.modules)
+        lamupsilon.normalize
+        print("lamupsilon.rewrite" in loaded())
+    """
+    assert _fresh_interpreter(code).decode().splitlines() == [
+        "['lamupsilon']",
+        "['lamupsilon', 'lamupsilon.series'] False",
+        "True",
+    ]
+
+
+def test_public_objects_pickle_across_fresh_interpreters():
+    # a child that only ran ``import lamupsilon`` loads this process's
+    # pickles and writes its own, which load back here
+    objects = [lamupsilon.ParamKind.BETA, lamupsilon.SHIFT, lamupsilon.Index(3)]
+    code = """
+        import pickle, sys
+        import lamupsilon
+        objects = [lamupsilon.ParamKind.BETA, lamupsilon.SHIFT, lamupsilon.Index(3)]
+        assert pickle.loads(sys.stdin.buffer.read()) == objects
+        sys.stdout.buffer.write(pickle.dumps(objects))
+    """
+    assert pickle.loads(_fresh_interpreter(code, pickle.dumps(objects))) == objects
 
 
 def test_public_classes_and_functions_have_docstrings():

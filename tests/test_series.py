@@ -320,3 +320,19 @@ def test_names_that_are_not_param_kinds_raise_type_error():
         with pytest.raises(TypeError, match="'beta'"):
             total_param_bruteforce("beta", n)
     assert param_value(term, ParamKind.BETA) == 1
+
+
+def test_sizes_that_are_not_ints_raise_type_error():
+    # True would otherwise serve n = 1, and a float leaked islice's error
+    # or built an index 1.5
+    sized = (
+        lambda n: expected_param_exact(ParamKind.BETA, n),
+        nested_free_fraction, count_substs, count_terms, enumerate_terms, enumerate_substs,
+    )
+    for function in sized:
+        for n in (2.5, 2.0, True):
+            with pytest.raises(TypeError, match="n must be an int"):
+                function(n)
+    with pytest.raises(ValueError):
+        expected_param_exact(ParamKind.BETA, 0)
+    assert count_substs(-1) == count_terms(0) == 0
