@@ -15,29 +15,34 @@ Each node class is a slotted dataclass (no ``__dict__``) that states its
 child layout once, in its ``_children`` method, and every walk reads that
 method.  ``children`` is the node check, and the fast one: it turns a
 non-node's ``AttributeError`` into a ``TypeError``.  The few hot loops
-that read ``_children`` directly (the term code here, the redex walks of
-``rewrite``) catch that ``AttributeError`` around the loop and raise the
-same ``TypeError``, so any non-node in a term is rejected.  ``_nodes`` yields
-every node once, checked, to the folds that do not depend on order.  Every
-node class, and the skeletons of ``trees``, inherit equality, hashing and
-``repr`` from one base, ``_Node``: two nodes are equal when they have the
-same class and the same code, and the hash is that of the code.  A term's
-code is its term code: the pre-order list of per-node codes, ``n`` for
-``Index(n)`` and the class's fixed negative ``_tag`` for every other node.
-A tag fixes its node's number of children, so the code is a prefix code
-and determines the term.  The code holds ints only, so hashes repeat
-across interpreters, and it and ``repr`` are built with explicit stacks,
-so depth is limited by memory only, never by the recursion limit.
+that read ``_children`` directly (the term code and equality here, the
+redex walks of ``rewrite``) catch that ``AttributeError`` around the loop
+and raise the same ``TypeError``, so any non-node in a term is rejected.
+``_nodes`` yields every node once, checked, to the folds that do not
+depend on order.  Every node class, and the skeletons of ``trees``,
+inherit equality, hashing, ``repr`` and frozen attributes from one base,
+``_Node``: two nodes are equal when they have the same class and the same
+code, and the hash is that of the code.  Terms find equality by one
+lockstep walk over both terms that stops at the first difference and does
+not enter a subterm the two share; skeletons compare their codes.
+Assigning or deleting any attribute of a node raises
+``FrozenInstanceError``.  A term's code is its term code: the pre-order
+list of per-node codes, ``n`` for ``Index(n)`` and the class's fixed
+negative ``_tag`` for every other node.  A tag fixes its node's number of
+children, so the code is a prefix code and determines the term.  The code
+holds ints only, so hashes repeat across interpreters, and it and
+``repr`` are built with explicit stacks, so depth is limited by memory
+only, never by the recursion limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 
 
 class _Node:
     """The node protocol shared by every term class and by ``trees.BinTree``:
-    equality, hashing and ``repr`` all read the node's code."""
+    equality agrees with the node's code, and hashing and ``repr`` read it."""
 
     __slots__ = ()
 
@@ -59,9 +64,25 @@ class _Node:
         return code
 
     def __eq__(self, other) -> bool:
+        """Same class and same code, found by one lockstep walk over both
+        nodes' children that stops at the first difference and takes a
+        pair of one shared object as equal without walking it."""
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self is other or self._code() == other._code()
+        stack = [(self, other)]
+        try:
+            while stack:
+                a, b = stack.pop()
+                kids = a._children()
+                if a is b:
+                    continue
+                pairs = zip(kids, b._children())
+                if a.__class__ is not b.__class__ or a.__class__ is Index and a.n != b.n:
+                    return False
+                stack += pairs
+        except AttributeError:
+            raise _not_a_node(b if hasattr(a, "_children") else a) from None
+        return True
 
     def __hash__(self) -> int:
         return hash(tuple(self._code()))  # ints only, so it repeats across runs
@@ -83,8 +104,27 @@ class _Node:
             stack += reversed(pieces + [")"])
         return "".join(out)
 
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _node_class(cls):
+    """A node class as a slotted frozen dataclass that takes ``_Node``'s
+    equality, hashing, ``repr`` and frozen attribute errors.  The frozen
+    ``__setattr__`` and ``__delattr__`` that ``dataclass`` generates are
+    dropped: on a slotted class they name the class as it was before the
+    slots, and raise ``TypeError`` for any name that is not a field.  The
+    generated ``__init__`` sets fields through ``object``, so it keeps its
+    speed."""
+    cls = dataclass(frozen=True, eq=False, repr=False, slots=True)(cls)
+    del cls.__setattr__, cls.__delattr__
+    return cls
+
+
+@_node_class
 class Index(_Node):
     """De Bruijn index; ``n`` must be an ``int`` (not a ``bool``) and
     non-negative."""
@@ -101,7 +141,7 @@ class Index(_Node):
         return ()
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+@_node_class
 class Abs(_Node):
     """Abstraction (binder)."""
 
@@ -113,7 +153,7 @@ class Abs(_Node):
         return (self.body,)
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+@_node_class
 class App(_Node):
     """Application, left-associative in the concrete syntax."""
 
@@ -126,7 +166,7 @@ class App(_Node):
         return (self.fun, self.arg)
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+@_node_class
 class Closure(_Node):
     """A term with a suspended substitution: ``body[sub]``."""
 
@@ -139,7 +179,7 @@ class Closure(_Node):
         return (self.body, self.sub)
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+@_node_class
 class Slash(_Node):
     """Substitution of ``term`` for index 0."""
 
@@ -151,7 +191,7 @@ class Slash(_Node):
         return (self.term,)
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+@_node_class
 class Lift(_Node):
     """Substitution adjusted to pass under one binder."""
 
@@ -163,7 +203,7 @@ class Lift(_Node):
         return (self.sub,)
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+@_node_class
 class Shift(_Node):
     """Increment all free indices by one."""
 

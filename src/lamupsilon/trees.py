@@ -7,12 +7,17 @@ terms.  Translating a skeleton (``phi``) costs O(n), so composing it with
 Rémy's uniform skeleton generator (``remy_tree``) gives a linear-time
 uniform sampler of terms of an exact size.
 
-``sample_term`` is that composition fused into one routine: it inlines
-the SplitMix64 draws into the grafting loop and translates the grafting
-arrays straight to the term, with no ``BinTree`` in between.  It returns
-the same term as ``phi(remy_tree(n, rng))`` and leaves ``rng`` in the same
-state; ``remy_tree`` and ``phi`` stay as the reference it is tested
-against.
+``sample_term`` is that composition fused into one routine: it computes
+the SplitMix64 words of the sample in batches, each with a handful of
+big-integer operations over all its words at once (``_words``), reads
+them in order in the grafting loop, and translates the grafting arrays
+straight to the term, with no ``BinTree`` in between.  It returns the
+same term as ``phi(remy_tree(n, rng))`` and leaves ``rng`` in the same
+state; ``remy_tree``, ``Rng.below`` and ``phi`` stay as the reference it
+is tested against.  At n = 1000 it takes 1.9–2.3 ms, against 2.2–3.4 ms
+with one scalar SplitMix64 step per word (medians of alternating runs on
+two shared cores, CPython 3.11); the kernel mixes the 2000 words in about
+0.3 ms.
 
 Every walk over a ``BinTree`` goes through its shape code: the pre-order
 list (left subtree before right) of per-node codes ``2*(has left) + (has
@@ -27,20 +32,21 @@ never by the recursion limit.
 
 from __future__ import annotations
 
+import itertools
 import sys
-from dataclasses import dataclass
+from array import array
 from functools import lru_cache
 from operator import attrgetter, itemgetter
 from typing import Optional
 
-from .terms import SHIFT, Abs, App, Closure, Index, Lift, Shift, Slash, Term, _Node
+from .terms import SHIFT, Abs, App, Closure, Index, Lift, Shift, Slash, Term, _Node, _node_class
 
 
 class InvalidSize(ValueError):
     """There is no structure of the requested size."""
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+@_node_class
 class BinTree(_Node):
     """Plane binary tree skeleton; None stands for a missing child."""
 
@@ -49,6 +55,13 @@ class BinTree(_Node):
 
     def _code(self) -> list[int]:
         return _shape(self)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or _shape(self) == _shape(other)
+
+    __hash__ = _Node.__hash__
 
 
 LEAF = BinTree()
@@ -165,6 +178,53 @@ class Rng:
             x = self.next_u64()
             if x < limit:
                 return x % bound
+
+
+#: Words per ``_words`` call in ``sample_term``: bounds its memory at any
+#: size.  It covers the 2n words of a sample up to n = 1023 in one call,
+#: and it is odd, so batch ends fall on draws as well as on side words.
+_BATCH = 2047
+
+
+@lru_cache(maxsize=8)
+def _lanes(count: int) -> tuple[int, int, int]:
+    """The packed constants of ``_words``: ``ones`` (1 in every lane),
+    ``mask`` (2**64 - 1 in every lane) and ``steps`` ((j+1) * golden in
+    lane j).  Lane j is the 64-bit word 2j of the int's bytes in native
+    byte order, and word 2j+1 is zero."""
+    slots = [0] * (2 * count)
+    slots[0::2] = [(j + 1) * _GOLDEN & _MASK64 for j in range(count)]
+    steps = int.from_bytes(array("Q", slots).tobytes(), sys.byteorder)
+    slots[0::2] = [1] * count
+    ones = int.from_bytes(array("Q", slots).tobytes(), sys.byteorder)
+    return ones, ones * _MASK64, steps
+
+
+def _words(state: int, count: int) -> list[int]:
+    """The next ``count`` words of the SplitMix64 stream at ``state``:
+    word j is ``mix64(state + (j+1) * golden)``, as ``Rng.next_u64`` draws
+    it.  All lanes are mixed at once in one int, where each lane has 64
+    zero bits above it: a lane times a 64-bit constant never reaches the
+    next lane, and masking every lane after each shift and multiply keeps
+    them apart.  The int is packed and unpacked in native byte order, so
+    lane j reads back as word 2j on every platform."""
+    ones, mask, steps = _lanes(count)
+    x = (ones * state + steps) & mask
+    x = ((x ^ (x >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+    x = ((x ^ (x >> 27)) & mask) * 0x94D049BB133111EB & mask
+    x ^= x >> 31
+    return memoryview(x.to_bytes(16 * count, sys.byteorder)).cast("Q")[0::2].tolist()
+
+
+def _batches(state: int, count: int):
+    """Yield the stream at ``state`` as ``_words`` batches: ``count`` words
+    in batches of at most ``_BATCH``, then one word per batch for as long
+    as the caller reads (only rejected draws read past ``count``)."""
+    while True:
+        size = max(1, min(count, _BATCH))
+        yield _words(state, size)
+        state = (state + size * _GOLDEN) & _MASK64
+        count -= size
 
 
 def _fold(plan: list[tuple[int, int]]) -> Term:
@@ -293,12 +353,15 @@ def sample_term(n: int, rng: Rng) -> Term:
     Returns ``phi(remy_tree(n, rng))`` and advances ``rng`` exactly as that
     call would, in one fused pass:
 
-    * the grafting loop is ``remy_tree``'s, with the SplitMix64 step of
-      ``Rng.below`` inlined.  The node id 2k-1 of step k is also its draw
-      bound.  A draw below ``2**64 - 2n`` is below every bound's rejection
-      limit ``2**64 - 2**64 % (2k-1)``, so the limit is only computed for
-      the rare draws above it.  The side is the low bit of the next word,
-      because bound 2 never rejects;
+    * the grafting loop is ``remy_tree``'s, reading the stream's words in
+      order from ``_batches``: the 2n words a sample needs when no draw is
+      rejected, then one more per rejection.  A rejected draw just reads
+      the next word.  The node id 2k-1 of step k is also its draw bound.
+      A draw below ``2**64 - 2n`` is below every bound's rejection limit
+      ``2**64 - 2**64 % (2k-1)``, so the limit is only computed for the
+      rare draws above it.  The side is the low bit of the next word,
+      because bound 2 never rejects.  The state ends ``used`` golden
+      steps further on, ``used`` being the number of words read;
     * the translation reads ``phi``'s plan straight off the ``left``/
       ``right`` id arrays (a skeleton child exists iff its id is odd; even
       ids are Rémy's leaves) and hands it to the same ``_fold``.
@@ -309,18 +372,13 @@ def sample_term(n: int, rng: Rng) -> Term:
     root = 0
     state = rng._state
     safe = (1 << 64) - 2 * n
-    for node in range(1, 2 * n, 2):
-        while True:
-            state = (state + _GOLDEN) & _MASK64
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-            z ^= z >> 31
-            if z < safe or z < (1 << 64) - (1 << 64) % node:
-                break
+    words = itertools.chain.from_iterable(_batches(state, 2 * n))
+    used = 2 * n
+    for node, z, side in zip(range(1, 2 * n, 2), words, words):
+        while z >= safe and z >= (1 << 64) - (1 << 64) % node:
+            z, side = side, next(words)
+            used += 1
         x = z % node
-        state = (state + _GOLDEN) & _MASK64
-        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         p = parent[x]
         if p < 0:
             root = node
@@ -329,12 +387,12 @@ def sample_term(n: int, rng: Rng) -> Term:
         else:
             right[p] = node
         parent[node] = p
-        if (z ^ (z >> 31)) & 1:
+        if side & 1:
             left[node], right[node] = x, node + 1
         else:
             left[node], right[node] = node + 1, x
         parent[x] = parent[node + 1] = node
-    rng._state = state
+    rng._state = (state + used * _GOLDEN) & _MASK64
     plan, stack = [], [root]  # plan: (chain length, anchor code) in pre-order
     while stack:
         node, chain = stack.pop(), 0

@@ -16,6 +16,7 @@ from lamupsilon import (
     Shift,
     Slash,
     count_all_redexes,
+    enumerate_terms,
     find_redexes,
     has_nested_substitution,
     is_pure,
@@ -120,6 +121,26 @@ def test_terms_never_equal_skeletons():
     assert len({Index(0), BinTree()}) == 2
 
 
+def test_equality_agrees_with_the_codes_on_small_terms():
+    # enumerate_terms shares subterms between terms; the deep copies share none
+    small = [t for n in range(1, 7) for t in enumerate_terms(n)]
+    others = small + [copy.deepcopy(t) for t in small]
+    codes = [t._code() for t in others]
+    for a in small:
+        code = a._code()
+        for b, other in zip(others, codes):
+            assert (a == b) == (code == other)
+
+
+def test_equality_does_not_walk_a_shared_subterm(monkeypatch):
+    tower = _tower(Index(0))  # every Lift of these terms lies inside the tower
+    walked = []
+    monkeypatch.setattr(Lift, "_children", lambda node: walked.append(node) or (node.sub,))
+    assert App(tower, Index(0)) == App(tower, Index(0))
+    assert App(tower, Index(0)) != App(tower, Index(1))
+    assert walked == []
+
+
 def test_very_deep_terms_compare(default_recursion_limit):
     assert _tower(Index(0)) == _tower(Index(0))
     assert _tower(Index(0)) != _tower(Index(1))
@@ -197,15 +218,17 @@ def test_nodes_are_slotted_and_frozen(node):
     assert not hasattr(node, "__dict__")
     assert pickle.loads(pickle.dumps(node)) == node
     assert copy.deepcopy(node) == node
-    for field in fields(node):  # Shift has none
+    for name in [field.name for field in fields(node)] + ["foo", "__class__"]:
         with pytest.raises(FrozenInstanceError):
-            setattr(node, field.name, Index(0))
+            setattr(node, name, Index(0))
+        with pytest.raises(FrozenInstanceError):
+            delattr(node, name)
 
 
 @pytest.mark.parametrize("term", [App(1, Index(0)), App(Index(0), BinTree()), Abs(None)])
 def test_folds_reject_a_non_node_below_the_root(term):
     folds = (size, is_pure, has_nested_substitution, lambda t: list(iter_subterms(t)),
-             count_all_redexes, find_redexes, normalize, hash)
+             count_all_redexes, find_redexes, normalize, hash, lambda t: t == copy.copy(t))
     for fold in folds:
         with pytest.raises(TypeError, match="not a lambda-upsilon node"):
             fold(term)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -33,7 +34,7 @@ from lamupsilon import (
     tree_from_json,
     tree_to_json,
 )
-from lamupsilon.trees import LEAF, _from_shape, _shape
+from lamupsilon.trees import _BATCH, LEAF, _from_shape, _shape, _words
 
 from conftest import chi_square_quantile, terms
 
@@ -384,9 +385,18 @@ def test_unmix64_inverts_the_generator():
         assert Rng((_unmix64(word) - _GOLDEN) & _MASK64).next_u64() == word
 
 
+# states 0, 1 and 2 golden steps below the 2**64 wrap, and others
+@pytest.mark.parametrize("state", [(-k * _GOLDEN) & _MASK64 for k in range(3)] + [1, 2024, _MASK64])
+def test_word_kernel_matches_the_scalar_generator(state):
+    for count in (1, _BATCH - 1, _BATCH, _BATCH + 1):
+        rng = Rng(state)
+        assert _words(state, count) == [rng.next_u64() for _ in range(count)], count
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2024])
 def test_fused_sampler_matches_reference(seed):
-    for n in [*range(1, 65), 1000]:
+    # 2n > _BATCH from n = _BATCH // 2 + 1; 2 * _BATCH takes four whole batches
+    for n in [*range(1, 65), 1000, _BATCH // 2 + 1, 2 * _BATCH]:
         for i in range(20):
             fused, ref = Rng.derived(seed, i), Rng.derived(seed, i)
             assert sample_term(n, fused) == _reference(n, ref), (n, i)
@@ -404,8 +414,9 @@ def test_fused_sampler_matches_reference_on_a_shared_stream():
 def test_fused_sampler_rejects_like_the_reference():
     # Craft streams whose draw at grafting step k lands just below, at, or
     # above the rejection limit of its bound 2k-1 (draw 2(k-1) of the
-    # stream when nothing was rejected before).
-    for k in [*range(1, 41), 500, 999, 1000]:
+    # stream when nothing was rejected before).  At k = _BATCH // 2 + 1
+    # that draw is the last word of the first batch.
+    for k in [*range(1, 41), 500, 999, 1000, _BATCH // 2 + 1]:
         bound = 2 * k - 1
         limit = (1 << 64) - (1 << 64) % bound
         for word in {limit - 1, limit, _MASK64} - {1 << 64}:
@@ -416,6 +427,19 @@ def test_fused_sampler_rejects_like_the_reference():
             assert fused._state == ref._state
             rejected = ref._state != (start + 2 * n * _GOLDEN) & _MASK64
             assert rejected == (word >= limit)
+
+
+def test_sampler_memory_stays_bounded():
+    # The scalar sampler that the batched kernel replaced peaked at 20.74 MB
+    # (tracemalloc, CPython 3.11, 64-bit); bounded batches keep within 10 %
+    # of that, where the 200 000 words of one unbounded batch do not.
+    tracemalloc.start()
+    try:
+        sample_term(100_000, Rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * 20.74e6
 
 
 def test_deep_samples_match_the_recursive_translation(default_recursion_limit):
