@@ -1,17 +1,23 @@
 """The eight rewriting rules, redex search, normalization and classifiers.
 
-``match_redex`` is the one class dispatch that recognises a redex.  Each
-rule's right-hand side is a builder in one table keyed by ``RuleKind``,
-run only by ``normalize`` and ``rewrite_root``, so the counters classify
-without building.
+``match_redex`` is the one class dispatch that recognises a redex (through
+``_closure_rule`` for a closure).  Each rule's right-hand side is a
+builder in one table keyed by ``RuleKind``, called with the redex's two
+children and run only by ``normalize`` and ``rewrite_root``, so the
+counters classify without building.
 
 Rule left-hand sides are mutually exclusive and inspect only a node and
 its immediate children, which the normalizer exploits: after a rewrite,
 outside the freshly created subtree only the parent's redex status can
-have changed.  The engine is therefore an incremental pre-order scan that
-is observationally identical to "rescan from the root, fire the first
-enabled redex" (leftmost-outermost).  A step costs its redex's depth: it
-copies the position, and with ``keep_terms`` rebuilds the path to the root.
+have changed, and only if the new subtree is its first child.  The engine
+is therefore an incremental pre-order scan that is observationally
+identical to "rescan from the root, fire the first enabled redex"
+(leftmost-outermost).  Closures stack, so a step often makes its parent a
+redex: that rule fires from the new subtree and the parent's other child,
+without rebuilding the parent, and so on up.  A parent that is not a redex
+stays stale until the walk climbs back through it or ``_snapshot`` needs
+the whole term.  A step costs its redex's depth: it copies the position,
+and with ``keep_terms`` rebuilds the path to the root.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .syntax import render_term
 from .terms import (
@@ -32,6 +38,7 @@ from .terms import (
     Position,
     Shift,
     Slash,
+    Subst,
     Term,
     _nodes,
     _not_a_node,
@@ -61,16 +68,16 @@ class RuleKind(Enum):
 ALL_RULES = frozenset(RuleKind)
 UPSILON_RULES = frozenset(RuleKind) - {RuleKind.BETA}
 
-# Each rule's right-hand side, built from a node that match_redex gives that rule.
+# Each rule's right-hand side, built from the children of a node that match_redex gives it.
 _RIGHT_HAND_SIDE = {
-    RuleKind.BETA: lambda t: Closure(t.fun.body, Slash(t.arg)),
-    RuleKind.APP: lambda t: App(Closure(t.body.fun, t.sub), Closure(t.body.arg, t.sub)),
-    RuleKind.LAMBDA: lambda t: Abs(Closure(t.body.body, Lift(t.sub))),
-    RuleKind.FVAR: lambda t: t.sub.term,
-    RuleKind.RVAR: lambda t: Index(t.body.n - 1),
-    RuleKind.FVARLIFT: lambda t: Index(0),
-    RuleKind.RVARLIFT: lambda t: Closure(Closure(Index(t.body.n - 1), t.sub.sub), SHIFT),
-    RuleKind.VARSHIFT: lambda t: Index(t.body.n + 1),
+    RuleKind.BETA: lambda fun, arg: Closure(fun.body, Slash(arg)),
+    RuleKind.APP: lambda body, sub: App(Closure(body.fun, sub), Closure(body.arg, sub)),
+    RuleKind.LAMBDA: lambda body, sub: Abs(Closure(body.body, Lift(sub))),
+    RuleKind.FVAR: lambda body, sub: sub.term,
+    RuleKind.RVAR: lambda body, sub: Index(body.n - 1),
+    RuleKind.FVARLIFT: lambda body, sub: Index(0),
+    RuleKind.RVARLIFT: lambda body, sub: Closure(Closure(Index(body.n - 1), sub.sub), SHIFT),
+    RuleKind.VARSHIFT: lambda body, sub: Index(body.n + 1),
 }
 
 
@@ -82,8 +89,7 @@ class Redex:
     kind: RuleKind
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One rewrite of a trace: the rule fired and where."""
 
     rule: RuleKind
@@ -121,21 +127,25 @@ class BudgetExceeded(Exception):
 def match_redex(term: Term) -> Optional[RuleKind]:
     """The unique rule matching at the root, if any."""
     if term.__class__ is Closure:
-        body, sub = term.body, term.sub
-        if body.__class__ is App:
-            return RuleKind.APP
-        if body.__class__ is Abs:
-            return RuleKind.LAMBDA
-        if body.__class__ is not Index:
-            return None
-        if sub.__class__ is Slash:
-            return RuleKind.RVAR if body.n else RuleKind.FVAR
-        if sub.__class__ is Lift:
-            return RuleKind.RVARLIFT if body.n else RuleKind.FVARLIFT
-        return RuleKind.VARSHIFT if sub.__class__ is Shift else None
+        return _closure_rule(term.body, term.sub)
     if term.__class__ is App and term.fun.__class__ is Abs:
         return RuleKind.BETA
     return None
+
+
+def _closure_rule(body: Term, sub: Subst) -> Optional[RuleKind]:
+    """The rule matching at the closure ``body[sub]``, if any."""
+    if body.__class__ is App:
+        return RuleKind.APP
+    if body.__class__ is Abs:
+        return RuleKind.LAMBDA
+    if body.__class__ is not Index:
+        return None
+    if sub.__class__ is Slash:
+        return RuleKind.RVAR if body.n else RuleKind.FVAR
+    if sub.__class__ is Lift:
+        return RuleKind.RVARLIFT if body.n else RuleKind.FVARLIFT
+    return RuleKind.VARSHIFT if sub.__class__ is Shift else None
 
 
 def _rule_kind(kind: RuleKind) -> RuleKind:
@@ -148,7 +158,7 @@ def rewrite_root(term: Term, kind: RuleKind) -> Term:
     """Right-hand side for a redex of ``kind`` at the root."""
     if match_redex(term) is not _rule_kind(kind):
         raise InvalidRedex(f"{kind.value} does not match at the root")
-    return _RIGHT_HAND_SIDE[kind](term)
+    return _RIGHT_HAND_SIDE[kind](*term._children())
 
 
 def apply_at(term: Term, redex: Redex) -> Term:
@@ -239,6 +249,8 @@ def normalize(
     ``max_steps`` rewrites have happened and an enabled redex remains.
     With ``keep_terms=False`` the trace omits the per-step result terms.
     A step costs its redex's depth, for the position and any result term.
+    A parent that a step makes a redex fires from its children at once;
+    any other parent stays stale until the walk climbs back through it.
     """
     if strategy not in ("full", "upsilon"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -255,17 +267,28 @@ def normalize(
         if test and (focus.__class__ is Closure or (beta and focus.__class__ is App)):
             kind = match_redex(focus)
             if kind is not None:
-                if max_steps is not None and len(steps) >= max_steps:
-                    whole = _snapshot(parents, ordinals, focus)
-                    raise BudgetExceeded(whole, Trace(tuple(steps)))
-                focus = _RIGHT_HAND_SIDE[kind](focus)
-                after = _snapshot(parents, ordinals, focus) if keep_terms else None
-                steps.append(TraceStep(kind, tuple(ordinals), after))
+                redex = focus._children()
+                while kind is not None:
+                    if max_steps is not None and len(steps) >= max_steps:
+                        whole = _snapshot(parents, ordinals, focus)
+                        raise BudgetExceeded(whole, Trace(tuple(steps)))
+                    if redex[0] is focus:  # the redex is the focus's stale parent
+                        del parents[-1], ordinals[-1]
+                    focus = _RIGHT_HAND_SIDE[kind](*redex)
+                    after = _snapshot(parents, ordinals, focus) if keep_terms else None
+                    # tuple.__new__ skips the named tuple's own Python-level __new__
+                    steps.append(tuple.__new__(TraceStep, (kind, tuple(ordinals), after)))
+                    # Outside the new subtree only the parent's redex status can
+                    # change, and only if the new subtree is its first child.
+                    parent = parents[-1] if parents and not ordinals[-1] else None
+                    if parent.__class__ is Closure:
+                        redex = (focus, parent.sub)
+                        kind = _closure_rule(*redex)
+                    elif beta and parent.__class__ is App and focus.__class__ is Abs:
+                        redex, kind = (focus, parent.arg), RuleKind.BETA
+                    else:
+                        kind = None
                 resume = 0
-                if parents:
-                    # Outside the new subtree only the parent's redex status can change.
-                    resume = ordinals.pop()
-                    focus = with_child(parents.pop(), resume, focus)
                 continue
         try:
             kids = focus._children()

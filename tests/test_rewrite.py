@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +37,9 @@ from lamupsilon import (
     trace_to_json,
     unsuspended_constructors,
 )
-from lamupsilon.rewrite import UPSILON_RULES, _upsilon_levels, rewrite_root
+from lamupsilon import rewrite
+from lamupsilon.cli import main
+from lamupsilon.rewrite import UPSILON_RULES, TraceStep, _upsilon_levels, rewrite_root
 
 from conftest import bigstep_normal_form, naive_normalize, terms
 
@@ -224,6 +227,27 @@ def test_budget_exceeded_carries_partial_result():
     assert normalize(Index(1), "full", max_steps=0)[0] == Index(1)
 
 
+def _assert_budget_stops_match_the_naive_rescan(t, strategy):
+    # keep_terms=False leaves stale parents on the path at the stop, so the
+    # partial result is the one the stop itself repairs
+    _, trace = normalize(t, strategy, keep_terms=False)
+    for k in range(len(trace)):
+        want_term, want_steps, _ = naive_normalize(t, strategy, k)
+        with pytest.raises(BudgetExceeded) as info:
+            normalize(t, strategy, k, keep_terms=False)
+        assert info.value.term == want_term
+        assert [(s.rule, s.position) for s in info.value.trace.steps] == want_steps
+
+
+def test_budget_stops_inside_cascades_match_the_naive_rescan():
+    for n in range(1, 6):
+        for t in enumerate_terms(n):
+            for strategy in ("full", "upsilon"):
+                _assert_budget_stops_match_the_naive_rescan(t, strategy)
+    for i in range(10):
+        _assert_budget_stops_match_the_naive_rescan(sample_term(30, Rng.derived(96, i)), "upsilon")
+
+
 def test_normalize_argument_validation():
     with pytest.raises(ValueError):
         normalize(Index(0), "lazy")
@@ -292,6 +316,95 @@ def test_kept_trace_terms_replay_with_apply_at_at_size_200():
             cur = apply_at(cur, Redex(step.position, step.rule))
             assert cur == step.result
         assert cur == normal
+
+
+def test_full_kept_results_match_the_naive_rescan_on_random_terms():
+    # Beta cascades: an Abs built in function position fires its App parent
+    for i in range(100):
+        t = sample_term(30, Rng.derived(97, i))
+        try:
+            normal, trace = normalize(t, "full", 2000)
+            stopped = False
+        except BudgetExceeded as exc:
+            normal, trace, stopped = exc.term, exc.trace, True
+        want_term, want_steps, done = naive_normalize(t, "full", 2000)
+        assert normal == want_term and stopped is not done
+        assert [(s.rule, s.position) for s in trace.steps] == want_steps
+        cur = t
+        for step in trace.steps:
+            cur = apply_at(cur, Redex(step.position, step.rule))
+            assert cur == step.result
+        assert cur == normal
+
+
+def test_cascades_fire_without_rebuilding_the_parent(monkeypatch):
+    # rebuilding a parent only to match it again costs about one with_child
+    # call per step; firing the cascade from the children costs a tenth
+    calls, with_child = 0, rewrite.with_child
+
+    def counting_with_child(*args):
+        nonlocal calls
+        calls += 1
+        return with_child(*args)
+
+    monkeypatch.setattr(rewrite, "with_child", counting_with_child)
+    steps = 0
+    for k in range(20):
+        t = sample_term(1000, Rng.derived(0, k))
+        try:
+            _, trace = normalize(t, "upsilon", 20000, keep_terms=False)
+        except BudgetExceeded as exc:
+            trace = exc.trace
+        steps += len(trace)
+    assert 0 < calls < steps / 4
+
+
+def test_trace_steps_keep_their_text_and_value_semantics(capsys):
+    # TraceStep is a named tuple: the repr text, immutability, equality,
+    # hashing and every output format are those of the former dataclass
+    assert repr(TraceStep(RuleKind.FVAR, (0, 0), None)) == (
+        "TraceStep(rule=<RuleKind.FVAR: 'FVar'>, position=(0, 0), result=None)"
+    )
+    _, trace = normalize(parse_term("(\\\\1) 0"), "full")
+    assert repr(trace) == (
+        "Trace(steps=(TraceStep(rule=<RuleKind.BETA: 'Beta'>, position=(), "
+        "result=Closure(body=Abs(body=Index(n=1)), sub=Slash(term=Index(n=0)))), "
+        "TraceStep(rule=<RuleKind.LAMBDA: 'Lambda'>, position=(), "
+        "result=Abs(body=Closure(body=Index(n=1), sub=Lift(sub=Slash(term=Index(n=0)))))), "
+        "TraceStep(rule=<RuleKind.RVARLIFT: 'RVarLift'>, position=(0,), result=Abs(body="
+        "Closure(body=Closure(body=Index(n=0), sub=Slash(term=Index(n=0))), sub=Shift()))), "
+        "TraceStep(rule=<RuleKind.FVAR: 'FVar'>, position=(0, 0), "
+        "result=Abs(body=Closure(body=Index(n=0), sub=Shift()))), "
+        "TraceStep(rule=<RuleKind.VARSHIFT: 'VarShift'>, position=(0,), "
+        "result=Abs(body=Index(n=1)))))"
+    )
+    step = trace.steps[2]
+    for name in ("rule", "position", "result"):
+        with pytest.raises(AttributeError):
+            setattr(step, name, None)
+    again = normalize(parse_term("(\\\\1) 0"), "full")[1].steps[2]
+    assert again is not step and again == step and hash(again) == hash(step)
+    assert step._replace(result=None) == TraceStep(RuleKind.RVARLIFT, (0,), None)
+    assert step != trace.steps[4]
+    # the library JSON and the streamed CLI trace, byte for byte, with and
+    # without a budget stop
+    text = render_term(sample_term(60, Rng.derived(3, 0)))
+    for strategy, digest in [
+        ("full", "a8517ad47eacc58f15aa8092b3c843c3cf734d0033ecdc61b320d27819817632"),
+        ("upsilon", "9f0ae8ddcf069727357a70a49161338095e24f41817c6ca219b3feb6e18a4455"),
+    ]:
+        assert main(["normalize", "--term", text, "--strategy", strategy, "--trace"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        _, trace = normalize(parse_term(text), strategy)
+        assert out.splitlines()[1] == json.dumps(trace_to_json(trace))
+        argv = ["normalize", "--term", text, "--strategy", strategy, "--trace", "--max-steps", "7"]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        with pytest.raises(BudgetExceeded) as info:
+            normalize(parse_term(text), strategy, 7)
+        stop = info.value
+        assert out == f"{render_term(stop.term)}\n{json.dumps(trace_to_json(stop.trace))}\n"
 
 
 def test_bigstep_oracle_agrees_on_all_small_terms():
