@@ -6,7 +6,9 @@ binary tree skeletons driving an exact-size uniform sampler, and a seeded
 statistics harness.
 
 Submodules load on first use (PEP 562): ``import lamupsilon`` loads none of
-them, and the exact expectations load ``series`` alone.
+them, and the exact expectations load ``series`` alone.  The argument checks
+of every public entry point, ``_int`` and ``_member``, live here, at the
+bottom of the import graph.
 """
 
 import importlib
@@ -63,3 +65,17 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
+
+
+def _int(name: str, value):
+    """``value``; TypeError unless its class is ``int`` (not ``bool`` or ``float``)."""
+    if value.__class__ is not int:
+        raise TypeError(f"{name} must be an int, not {value!r}")
+    return value
+
+
+def _member(kind, value):
+    """``value``; TypeError unless it is a member of the enum ``kind``."""
+    if value.__class__ is not kind:
+        raise TypeError(f"not a {kind.__name__}: {value!r}")
+    return value

@@ -27,6 +27,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
+from . import _int, _member
 from .syntax import render_term
 from .terms import (
     SHIFT,
@@ -148,15 +149,9 @@ def _closure_rule(body: Term, sub: Subst) -> Optional[RuleKind]:
     return RuleKind.VARSHIFT if sub.__class__ is Shift else None
 
 
-def _rule_kind(kind: RuleKind) -> RuleKind:
-    if kind.__class__ is not RuleKind:
-        raise TypeError(f"not a RuleKind: {kind!r}")
-    return kind
-
-
 def rewrite_root(term: Term, kind: RuleKind) -> Term:
     """Right-hand side for a redex of ``kind`` at the root."""
-    if match_redex(term) is not _rule_kind(kind):
+    if match_redex(term) is not _member(RuleKind, kind):
         raise InvalidRedex(f"{kind.value} does not match at the root")
     return _RIGHT_HAND_SIDE[kind](*term._children())
 
@@ -176,7 +171,7 @@ def find_redexes(term: Term, kinds: Optional[Iterable[RuleKind]] = None) -> list
     The walk keeps one path of child ordinals and copies it only for a
     redex, so a call costs the size of the term plus the depth of each
     redex found, not the depth of every node."""
-    wanted = ALL_RULES if kinds is None else frozenset(map(_rule_kind, kinds))
+    wanted = ALL_RULES if kinds is None else frozenset(_member(RuleKind, kind) for kind in kinds)
     found, path, stack = [], [], [(term, 0, 0)]  # (node, depth, ordinal)
     try:
         while stack:
@@ -194,7 +189,7 @@ def find_redexes(term: Term, kinds: Optional[Iterable[RuleKind]] = None) -> list
 
 def count_redexes(term: Term, kind: RuleKind) -> int:
     """Number of positions where ``kind`` matches."""
-    return count_all_redexes(term)[_rule_kind(kind)]
+    return count_all_redexes(term)[_member(RuleKind, kind)]
 
 
 def count_all_redexes(term: Term) -> dict[RuleKind, int]:
@@ -215,13 +210,10 @@ def count_all_redexes(term: Term) -> dict[RuleKind, int]:
 
 
 def _bound(name: str, value: Optional[int], default: Optional[int]) -> Optional[int]:
-    """``value``, or ``default`` for None; TypeError unless its class is
-    ``int`` (so not ``bool``), ValueError if it is negative."""
+    """``value``, or ``default`` for None; ValueError if it is negative."""
     if value is None:
         return default
-    if value.__class__ is not int:
-        raise TypeError(f"{name} must be an int, not {value!r}")
-    if value < 0:
+    if _int(name, value) < 0:
         raise ValueError(f"{name} must be non-negative")
     return value
 
@@ -244,7 +236,10 @@ def normalize(
     """Repeatedly fire the leftmost-outermost enabled redex.
 
     ``strategy`` is ``"full"`` (all eight rules) or ``"upsilon"`` (all but
-    Beta; always terminates with a pure term).  The leftmost-outermost
+    Beta; on a term it always terminates with a pure term).  The node
+    constructors do not check sorts yet (an open item in ROADMAP.md), so a
+    closure built with a term where its substitution belongs, such as
+    ``Closure(Index(0), Index(0))``, can stop impure.  The leftmost-outermost
     redex is the pre-order-first one.  Raises BudgetExceeded once
     ``max_steps`` rewrites have happened and an enabled redex remains.
     With ``keep_terms=False`` the trace omits the per-step result terms.

@@ -41,6 +41,8 @@ from itertools import count, islice
 from operator import mul
 from typing import TYPE_CHECKING, Iterator, Optional
 
+from . import _int, _member
+
 if TYPE_CHECKING:
     from .rewrite import RuleKind
     from .terms import Subst, Term
@@ -135,21 +137,14 @@ def _support(coeffs: tuple) -> int:
 
 def catalan(n: int) -> int:
     """n-th Catalan number, binom(2n, n)/(n+1)."""
-    if n < 0:
+    if _int("n", n) < 0:
         raise ValueError("catalan is defined for non-negative n")
     return math.comb(2 * n, n) // (n + 1)
 
 
-def _size(n: int) -> int:
-    """``n``; TypeError unless its class is ``int`` (so not ``bool``)."""
-    if n.__class__ is not int:
-        raise TypeError(f"n must be an int, not {n!r}")
-    return n
-
-
 def count_terms(n: int) -> int:
-    """Number of terms of size n: Catalan(n) for n >= 1, zero at n = 0."""
-    return 0 if _size(n) == 0 else catalan(n)
+    """Number of terms of size n: Catalan(n) for n >= 1, zero below."""
+    return catalan(n) if _int("n", n) > 0 else 0
 
 
 def _catalans() -> Iterator[int]:
@@ -162,17 +157,17 @@ def _catalans() -> Iterator[int]:
 
 def count_substs(n: int) -> int:
     """Number of substitutions of size n: the partial Catalan sum below n."""
-    return sum(islice(_catalans(), max(_size(n), 0)))
+    return sum(islice(_catalans(), max(_int("n", n), 0)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def solve_core_series(order: int) -> tuple[Series, Series, Series]:
     """Fixpoint solution of the term/substitution/index counting system.
 
     T = N + z T + z T^2 + z T S;  S = z T + z S + z;  N = z + z N.
     Returns (T, S, N); T's coefficients are the Catalan numbers.
     """
-    if order < 0:
+    if _int("order", order) < 0:
         raise ValueError("order must be non-negative")
     t = [0] * (order + 1)
     s = [0] * (order + 1)
@@ -185,14 +180,14 @@ def solve_core_series(order: int) -> tuple[Series, Series, Series]:
     return Series(t), Series(s), Series(n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def solve_restricted_series(order: int) -> tuple[Series, Series, Series]:
     """Nested-substitution-free system: only pure terms under a slash.
 
     P = N + z P + z P^2;  S~ = z P + z S~ + z;  T~ = N + z T~ + z T~^2 + z T~ S~.
     Returns (P, S~, T~); T~ counts terms with no nested substitution.
     """
-    if order < 0:
+    if _int("order", order) < 0:
         raise ValueError("order must be non-negative")
     p = [0] * (order + 1)
     sbar = [0] * (order + 1)
@@ -244,14 +239,14 @@ def _substs_of_size(n: int) -> tuple[Subst, ...]:
 
 def enumerate_terms(n: int, max_size: int = ENUMERATION_BOUND) -> tuple[Term, ...]:
     """All distinct terms of size exactly n, each exactly once."""
-    if _size(n) > max_size:
+    if _int("n", n) > _int("max_size", max_size):
         raise BoundExceeded(f"size {n} exceeds the enumeration bound {max_size}")
     return _terms_of_size(n)
 
 
 def enumerate_substs(n: int, max_size: int = ENUMERATION_BOUND) -> tuple[Subst, ...]:
     """All distinct substitutions of size exactly n."""
-    if _size(n) > max_size:
+    if _int("n", n) > _int("max_size", max_size):
         raise BoundExceeded(f"size {n} exceeds the enumeration bound {max_size}")
     return _substs_of_size(n)
 
@@ -277,17 +272,11 @@ class ParamKind(Enum):
         return None if self is ParamKind.UNSUSPENDED else RuleKind[self.name]
 
 
-def _param_kind(param: ParamKind) -> ParamKind:
-    if param.__class__ is not ParamKind:
-        raise TypeError(f"not a ParamKind: {param!r}")
-    return param
-
-
 def param_value(term: Term, param: ParamKind) -> int:
     """Value of the parameter on one term."""
     from .rewrite import count_all_redexes, unsuspended_constructors
 
-    if _param_kind(param) is ParamKind.UNSUSPENDED:
+    if _member(ParamKind, param) is ParamKind.UNSUSPENDED:
         return unsuspended_constructors(term)
     return count_all_redexes(term)[param.rule_kind]
 
@@ -441,30 +430,29 @@ def _recurrence_values(initial, polys) -> Iterator[int]:
         del window[0]
 
 
-def _nth_value(entry, n: int) -> int:
-    """f(n) of one recurrence table entry, from its forward run."""
-    return next(islice(_recurrence_values(*entry), n, None))
+def _per_term(entry, n: int) -> Fraction:
+    """f(n) of one recurrence table entry, from its forward run, over the
+    number of size-n terms."""
+    if _int("n", n) < 1:
+        raise ValueError("n must be positive")
+    return Fraction(next(islice(_recurrence_values(*entry), n, None)), count_terms(n))
 
 
 def expected_param_exact(param: ParamKind, n: int) -> Fraction:
     """Exact expectation of the parameter over uniform size-n terms,
     from its recurrence in O(n) big-integer steps."""
-    if _size(n) < 1:
-        raise ValueError("n must be positive")
-    return Fraction(_nth_value(_RECURRENCES[_param_kind(param)], n), count_terms(n))
+    return _per_term(_RECURRENCES[_member(ParamKind, param)], n)
 
 
 def nested_free_fraction(n: int) -> Fraction:
     """Exact share of size-n terms without any nested substitution,
     from the T~ recurrence in O(n) big-integer steps."""
-    if _size(n) < 1:
-        raise ValueError("n must be positive")
-    return Fraction(_nth_value(_NESTED_FREE_RECURRENCE, n), count_terms(n))
+    return _per_term(_NESTED_FREE_RECURRENCE, n)
 
 
 def total_param_bruteforce(
     param: ParamKind, n: int, max_size: int = ENUMERATION_BOUND
 ) -> int:
     """Parameter total over all size-n terms, by exhaustive enumeration."""
-    _param_kind(param)  # also where n leaves no term to evaluate it on
+    _member(ParamKind, param)  # also where n leaves no term to evaluate it on
     return sum(param_value(t, param) for t in enumerate_terms(n, max_size))

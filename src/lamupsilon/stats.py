@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
+from . import _int
 from .rewrite import (
     RuleKind,
     count_all_redexes,
@@ -113,11 +114,12 @@ class ComparisonReport:
 
 
 def _param_name(param: ParamName) -> str:
-    if isinstance(param, ParamKind):
-        return param.value
     if param == NESTED:
         return NESTED
-    return ParamKind(param).value  # raises on unknown names
+    try:
+        return ParamKind(param).value
+    except ValueError:
+        raise ValueError(f"unknown parameter {param!r}") from None
 
 
 def _evaluate(term, names: tuple[str, ...]) -> tuple[int, ...]:
@@ -144,7 +146,7 @@ def _sample_values(
 
 def _worker_count(workers: Optional[int]) -> int:
     if workers is not None:
-        if workers < 1:
+        if _int("workers", workers) < 1:
             raise ValueError(f"workers must be a positive integer, not {workers!r}")
         return workers
     env = os.environ.get("UPSILON_THREADS", "").strip()
@@ -168,15 +170,17 @@ def run_experiment(
 ) -> dict[str, SampleSummary]:
     """Sample m uniform size-n terms and summarize the given parameters.
 
-    ``params`` may contain ParamKind values and the string ``"nested"``.
-    Deterministic in (n, m, seed) regardless of ``workers``, a positive
-    integer (default: the UPSILON_THREADS environment variable, else
-    serial); any other count raises ValueError.
+    ``params`` may contain ParamKind values, their names and ``"nested"``;
+    any other name raises ValueError.  Deterministic in (n, m, seed)
+    regardless of ``workers``, a positive integer (default: the
+    UPSILON_THREADS environment variable, else serial); any other count
+    raises ValueError.
     """
-    if n < 1:
+    if _int("n", n) < 1:
         raise InvalidSize("term size must be positive")
-    if m < 2:
+    if _int("m", m) < 2:
         raise InsufficientSamples("need at least two samples")
+    _int("seed", seed)
     names = tuple(dict.fromkeys(_param_name(p) for p in params))
     if not names:
         raise ValueError("no parameters requested")

@@ -39,6 +39,8 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass, fields
 
+from . import _int
+
 
 class _Node:
     """The node protocol shared by every term class and by ``trees.BinTree``:
@@ -133,7 +135,7 @@ class Index(_Node):
 
     def __post_init__(self) -> None:
         if self.n.__class__ is not int:
-            raise TypeError(f"de Bruijn indices must be ints, not {self.n!r}")
+            raise TypeError(f"de Bruijn index n must be an int, not {self.n!r}")
         if self.n < 0:
             raise ValueError("de Bruijn indices must be non-negative")
 
@@ -291,7 +293,7 @@ def _walk(term: Term, position: Position) -> list[Node]:
     path: list[Node] = [term]
     for depth, ordinal in enumerate(position):
         kids = children(path[-1])
-        if not 0 <= ordinal < len(kids):
+        if not 0 <= _int("position ordinal", ordinal) < len(kids):
             raise ValueError(
                 f"invalid position {position!r}: no child {ordinal} at depth {depth}"
             )

@@ -39,6 +39,7 @@ from functools import lru_cache
 from operator import attrgetter, itemgetter
 from typing import Optional
 
+from . import _int
 from .terms import SHIFT, Abs, App, Closure, Index, Lift, Shift, Slash, Term, _Node, _node_class
 
 
@@ -114,10 +115,10 @@ def tree_from_json(data) -> Optional[BinTree]:
         raise ValueError(f"each node must be an object with 'l' and 'r': {err!r}") from None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def enumerate_trees(n: int) -> tuple[BinTree, ...]:
     """All skeletons with exactly n nodes (there are Catalan(n) of them)."""
-    if n <= 0:
+    if _int("n", n) <= 0:
         return ()
     if n == 1:
         return (LEAF,)
@@ -152,7 +153,7 @@ class Rng:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        self._state = _int("seed", seed) & _MASK64
 
     @classmethod
     def derived(cls, seed: int, index: int) -> "Rng":
@@ -161,7 +162,8 @@ class Rng:
         Stream i starts from ``mix64(mix64(seed) + (i+1) * golden)``, so
         results depend only on (seed, index), never on worker layout.
         """
-        return cls(_mix64((_mix64(seed) + (index + 1) * _GOLDEN) & _MASK64))
+        state = _mix64(_int("seed", seed)) + (_int("index", index) + 1) * _GOLDEN
+        return cls(_mix64(state & _MASK64))
 
     def next_u64(self) -> int:
         self._state = (self._state + _GOLDEN) & _MASK64
@@ -169,9 +171,7 @@ class Rng:
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound), for an int 0 < bound <= 2**64."""
-        if bound.__class__ is not int:
-            raise TypeError(f"bound must be an int, not {bound!r}")
-        if not 0 < bound <= 1 << 64:
+        if not 0 < _int("bound", bound) <= 1 << 64:
             raise ValueError("bound must be in [1, 2**64]")
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
@@ -296,9 +296,11 @@ def phi_inv(term: Term) -> BinTree:
             if isinstance(sub, Shift):
                 codes.append(1)
                 stack.append(t.body)
-            else:
+            elif isinstance(sub, Slash):
                 codes.append(3)
                 stack += (sub.term, t.body)
+            else:
+                raise TypeError(f"not a term: {t!r}")
         else:
             raise TypeError(f"not a term: {t!r}")
     return _from_shape(codes)
@@ -319,7 +321,7 @@ def remy_tree(n: int, rng: Rng) -> BinTree:
     node together with a fresh leaf.  Internal nodes get odd ids, leaves
     even ids; erasing the leaves leaves the uniform skeleton.
     """
-    if n < 1:
+    if _int("n", n) < 1:
         raise InvalidSize("there is no tree with zero nodes")
     left, right, parent = _grafting_arrays(n)
     root = 0
@@ -366,7 +368,7 @@ def sample_term(n: int, rng: Rng) -> Term:
       ``right`` id arrays (a skeleton child exists iff its id is odd; even
       ids are Rémy's leaves) and hands it to the same ``_fold``.
     """
-    if n < 1:
+    if _int("n", n) < 1:
         raise InvalidSize("there is no term of size zero")
     left, right, parent = _grafting_arrays(n)
     root = 0

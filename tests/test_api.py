@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import os
 import pickle
+import re
 import subprocess
 import sys
 import textwrap
@@ -11,6 +12,36 @@ from pathlib import Path
 import pytest
 
 import lamupsilon
+from lamupsilon import (
+    Abs,
+    App,
+    Index,
+    ParamKind,
+    Redex,
+    Rng,
+    RuleKind,
+    catalan,
+    count_redexes,
+    count_substs,
+    count_terms,
+    enumerate_substs,
+    enumerate_terms,
+    enumerate_trees,
+    expected_param_exact,
+    find_redexes,
+    is_strict_form_bounded,
+    nested_free_fraction,
+    normalize,
+    param_value,
+    remy_tree,
+    replace_at,
+    run_experiment,
+    sample_term,
+    solve_core_series,
+    solve_restricted_series,
+    subterm_at,
+    total_param_bruteforce,
+)
 
 #: The public names; refactors must leave this list exactly as it is.
 PUBLIC_NAMES = [
@@ -120,3 +151,111 @@ def test_modules_import_only_the_standard_library():
                 continue
             for name in names:
                 assert name.partition(".")[0] in allowed, f"{source.name} imports {name}"
+
+
+_TERM = App(Abs(Index(0)), Index(0))
+
+#: Every public parameter that takes an int or an enum member, keyed by
+#: (entry point, parameter), with a call that puts ``x`` in that parameter
+#: and valid values elsewhere.  A class's own key is its name.
+ARGUMENTS = {
+    ("Index", "n"): Index,
+    ("Rng", "seed"): Rng,
+    ("Rng.derived", "seed"): lambda x: Rng.derived(x, 0),
+    ("Rng.derived", "index"): lambda x: Rng.derived(0, x),
+    ("Rng.below", "bound"): lambda x: Rng(0).below(x),
+    ("sample_term", "n"): lambda x: sample_term(x, Rng(0)),
+    ("remy_tree", "n"): lambda x: remy_tree(x, Rng(0)),
+    ("enumerate_trees", "n"): lambda x: enumerate_trees(n=x),
+    ("catalan", "n"): catalan,
+    ("count_terms", "n"): count_terms,
+    ("count_substs", "n"): count_substs,
+    ("solve_core_series", "order"): lambda x: solve_core_series(order=x),
+    ("solve_restricted_series", "order"): lambda x: solve_restricted_series(order=x),
+    ("enumerate_terms", "n"): enumerate_terms,
+    ("enumerate_terms", "max_size"): lambda x: enumerate_terms(2, x),
+    ("enumerate_substs", "n"): enumerate_substs,
+    ("enumerate_substs", "max_size"): lambda x: enumerate_substs(2, x),
+    ("expected_param_exact", "param"): lambda x: expected_param_exact(x, 4),
+    ("expected_param_exact", "n"): lambda x: expected_param_exact(ParamKind.BETA, x),
+    ("nested_free_fraction", "n"): nested_free_fraction,
+    ("param_value", "param"): lambda x: param_value(_TERM, x),
+    ("total_param_bruteforce", "param"): lambda x: total_param_bruteforce(x, 3),
+    ("total_param_bruteforce", "n"): lambda x: total_param_bruteforce(ParamKind.BETA, x),
+    ("total_param_bruteforce", "max_size"): (
+        lambda x: total_param_bruteforce(ParamKind.BETA, 3, x)
+    ),
+    ("run_experiment", "n"): lambda x: run_experiment(x, 4, 0, [ParamKind.BETA]),
+    ("run_experiment", "m"): lambda x: run_experiment(3, x, 0, [ParamKind.BETA]),
+    ("run_experiment", "seed"): lambda x: run_experiment(3, 4, x, [ParamKind.BETA]),
+    ("run_experiment", "workers"): (
+        lambda x: run_experiment(3, 4, 0, [ParamKind.BETA], workers=x)
+    ),
+    ("count_redexes", "kind"): lambda x: count_redexes(_TERM, x),
+    ("find_redexes", "kinds"): lambda x: find_redexes(_TERM, [x]),
+    ("apply_at", "redex"): lambda x: lamupsilon.apply_at(_TERM, Redex((), x)),
+    ("normalize", "max_steps"): lambda x: normalize(_TERM, "full", x),
+    ("is_strict_form_bounded", "max_source_size"): (
+        lambda x: is_strict_form_bounded(Index(0), max_source_size=x)
+    ),
+    ("is_strict_form_bounded", "max_steps"): (
+        lambda x: is_strict_form_bounded(Index(0), max_steps=x)
+    ),
+    ("subterm_at", "position"): lambda x: subterm_at(_TERM, (0, x)),
+    ("replace_at", "position"): lambda x: replace_at(_TERM, (x,), Index(1)),
+}
+
+#: The enum that the TypeError names for a kind parameter.
+_KINDS = {"param": ParamKind, "kind": RuleKind, "kinds": RuleKind, "redex": RuleKind}
+
+
+def test_int_and_kind_arguments_raise_type_error():
+    # True would otherwise serve n = 1, and a float leaked an internal error
+    # (islice's, or "can't multiply sequence by non-int") or built an index 1.5.
+    # A cached 1 or 2 must not answer for True or 2.0.  A positional call keys
+    # a lone int apart from other classes, a keyword call does not, so the
+    # table calls the cached entry points by keyword, and fills them first.
+    enumerate_trees(n=1), enumerate_trees(n=2)
+    for solve in (solve_core_series, solve_restricted_series):
+        solve(order=1), solve(order=2)
+    for (entry, parameter), call in ARGUMENTS.items():
+        kind = _KINDS.get(parameter)
+        named = f"not a {kind.__name__}: " if kind else rf"\b{parameter}\b.* must be an int, not "
+        for x in (True, 2.0, "3"):
+            with pytest.raises(TypeError) as raised:
+                call(x)
+            message = str(raised.value)
+            assert re.search(named + re.escape(repr(x)) + "$", message), (entry, message)
+    # the class check comes before the range check
+    with pytest.raises(TypeError, match="n must be an int"):
+        sample_term(0.5, Rng(0))
+    with pytest.raises(ValueError):
+        expected_param_exact(ParamKind.BETA, 0)
+    assert count_substs(-1) == count_terms(0) == 0
+
+
+def test_the_argument_table_lists_every_int_and_kind_parameter():
+    # a new public parameter annotated with int, ParamKind or RuleKind has to
+    # join ARGUMENTS, so it cannot skip the class check unnoticed
+    mentions = re.compile(r"\b(int|ParamKind|RuleKind)\b")
+    found = set()
+    for name in lamupsilon.__all__:
+        obj = getattr(lamupsilon, name)
+        if name in ("SampleSummary", "ParseError", "Redex"):  # records
+            continue
+        if inspect.isclass(obj):
+            entries = [(name, obj.__init__)] + [
+                (f"{name}.{method}", getattr(obj, method))
+                for method in ("derived", "below")
+                if hasattr(obj, method)
+            ]
+        elif inspect.isroutine(obj):
+            entries = [(name, obj)]
+        else:
+            continue
+        for entry, function in entries:
+            for parameter in inspect.signature(function).parameters.values():
+                if mentions.search(str(parameter.annotation)):
+                    found.add((entry, parameter.name))
+    assert {("enumerate_trees", "n"), ("Rng.derived", "index"), ("Index", "n")} <= found
+    assert found <= ARGUMENTS.keys(), sorted(found - ARGUMENTS.keys())

@@ -348,10 +348,15 @@ def test_stats_is_deterministic(capsys):
 
 
 def test_stats_rejects_unknown_param(capsys):
-    code, _, err = run_cli(
-        capsys, "stats", "--size", "5", "--samples", "10", "--params", "zeta"
-    )
-    assert code == 2 and "zeta" in err
+    # the library's messages, byte for byte what the command printed itself before
+    for params, message in [
+        ("zeta", "unknown parameter 'zeta'"),
+        ("beta, zeta,nested", "unknown parameter 'zeta'"),
+        (",", "no parameters requested"),
+        (" , ", "no parameters requested"),
+    ]:
+        run = run_cli(capsys, "stats", "--size", "5", "--samples", "10", "--params", params)
+        assert run == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("threads", ["x", "0"])

@@ -25,6 +25,7 @@ from lamupsilon import (
     count_terms,
     enumerate_substs,
     enumerate_terms,
+    enumerate_trees,
     expected_param_exact,
     has_nested_substitution,
     is_pure,
@@ -106,6 +107,15 @@ def test_catalan_recurrence_matches_binomial_formula():
         values.append(sum(values[i] * values[n - i] for i in range(n + 1)))
     for n, want in enumerate(values):
         assert catalan(n) == want
+
+
+def test_negative_sizes_count_nothing():
+    # every count and enumeration answers "none" below zero; catalan keeps its domain
+    for n in (-1, -5):
+        assert count_terms(n) == count_substs(n) == 0
+        assert enumerate_terms(n) == enumerate_substs(n) == enumerate_trees(n) == ()
+    with pytest.raises(ValueError, match="non-negative"):
+        catalan(-1)
 
 
 def test_count_examples():
@@ -321,18 +331,3 @@ def test_names_that_are_not_param_kinds_raise_type_error():
             total_param_bruteforce("beta", n)
     assert param_value(term, ParamKind.BETA) == 1
 
-
-def test_sizes_that_are_not_ints_raise_type_error():
-    # True would otherwise serve n = 1, and a float leaked islice's error
-    # or built an index 1.5
-    sized = (
-        lambda n: expected_param_exact(ParamKind.BETA, n),
-        nested_free_fraction, count_substs, count_terms, enumerate_terms, enumerate_substs,
-    )
-    for function in sized:
-        for n in (2.5, 2.0, True):
-            with pytest.raises(TypeError, match="n must be an int"):
-                function(n)
-    with pytest.raises(ValueError):
-        expected_param_exact(ParamKind.BETA, 0)
-    assert count_substs(-1) == count_terms(0) == 0

@@ -81,6 +81,16 @@ def test_phi_left_chains_make_successors_and_lifts():
     assert phi(lifted) == Closure(Index(0), Lift(Lift(SHIFT)))
 
 
+@pytest.mark.parametrize(
+    "node",
+    [SHIFT, App(1, Index(0)), Closure(Index(0), Index(0)), Closure(Index(0), Lift(Index(1)))],
+)
+def test_phi_inv_rejects_non_terms(node):
+    # a closure's substitution chain must end in a shift or a slash
+    with pytest.raises(TypeError, match="^not a term: "):
+        phi_inv(node)
+
+
 def test_phi_inv_base_cases():
     assert phi_inv(Index(0)) == LEAF
     assert phi_inv(Abs(Index(0))) == BinTree(right=LEAF)
