@@ -20,6 +20,7 @@ from lamupsilon import (
     Redex,
     Rng,
     RuleKind,
+    apply_at,
     catalan,
     count_redexes,
     count_substs,
@@ -193,7 +194,7 @@ ARGUMENTS = {
     ),
     ("count_redexes", "kind"): lambda x: count_redexes(_TERM, x),
     ("find_redexes", "kinds"): lambda x: find_redexes(_TERM, [x]),
-    ("apply_at", "redex"): lambda x: lamupsilon.apply_at(_TERM, Redex((), x)),
+    ("apply_at", "redex"): lambda x: apply_at(_TERM, Redex((), x)),
     ("normalize", "max_steps"): lambda x: normalize(_TERM, "full", x),
     ("is_strict_form_bounded", "max_source_size"): (
         lambda x: is_strict_form_bounded(Index(0), max_source_size=x)
