@@ -41,13 +41,19 @@ from .terms import (
     Slash,
     Subst,
     Term,
+    _abs,
+    _app,
+    _closure,
+    _index,
+    _lift,
     _nodes,
     _not_a_node,
+    _slash,
+    _with_child,
     is_pure,
     replace_at,
     size,
     subterm_at,
-    with_child,
 )
 
 
@@ -70,15 +76,17 @@ ALL_RULES = frozenset(RuleKind)
 UPSILON_RULES = frozenset(RuleKind) - {RuleKind.BETA}
 
 # Each rule's right-hand side, built from the children of a node that match_redex gives it.
+# The children of a well-sorted redex make a well-sorted right-hand side, and RVar and
+# RVarLift match only an index n >= 1, so the unchecked factories build them.
 _RIGHT_HAND_SIDE = {
-    RuleKind.BETA: lambda fun, arg: Closure(fun.body, Slash(arg)),
-    RuleKind.APP: lambda body, sub: App(Closure(body.fun, sub), Closure(body.arg, sub)),
-    RuleKind.LAMBDA: lambda body, sub: Abs(Closure(body.body, Lift(sub))),
+    RuleKind.BETA: lambda fun, arg: _closure(fun.body, _slash(arg)),
+    RuleKind.APP: lambda body, sub: _app(_closure(body.fun, sub), _closure(body.arg, sub)),
+    RuleKind.LAMBDA: lambda body, sub: _abs(_closure(body.body, _lift(sub))),
     RuleKind.FVAR: lambda body, sub: sub.term,
-    RuleKind.RVAR: lambda body, sub: Index(body.n - 1),
-    RuleKind.FVARLIFT: lambda body, sub: Index(0),
-    RuleKind.RVARLIFT: lambda body, sub: Closure(Closure(Index(body.n - 1), sub.sub), SHIFT),
-    RuleKind.VARSHIFT: lambda body, sub: Index(body.n + 1),
+    RuleKind.RVAR: lambda body, sub: _index(body.n - 1),
+    RuleKind.FVARLIFT: lambda body, sub: _index(0),
+    RuleKind.RVARLIFT: lambda body, sub: _closure(_closure(_index(body.n - 1), sub.sub), SHIFT),
+    RuleKind.VARSHIFT: lambda body, sub: _index(body.n + 1),
 }
 
 
@@ -222,7 +230,7 @@ def _snapshot(parents: list[Term], ordinals: list[int], focus: Term) -> Term:
     """Current whole term; repairs stale ``parents`` in place."""
     for depth in range(len(parents) - 1, -1, -1):
         if parents[depth]._children()[ordinals[depth]] is not focus:
-            parents[depth] = with_child(parents[depth], ordinals[depth], focus)
+            parents[depth] = _with_child(parents[depth], ordinals[depth], focus)
         focus = parents[depth]
     return focus
 
@@ -236,12 +244,10 @@ def normalize(
     """Repeatedly fire the leftmost-outermost enabled redex.
 
     ``strategy`` is ``"full"`` (all eight rules) or ``"upsilon"`` (all but
-    Beta; on a term it always terminates with a pure term).  The node
-    constructors do not check sorts yet (an open item in ROADMAP.md), so a
-    closure built with a term where its substitution belongs, such as
-    ``Closure(Index(0), Index(0))``, can stop impure.  The leftmost-outermost
-    redex is the pre-order-first one.  Raises BudgetExceeded once
-    ``max_steps`` rewrites have happened and an enabled redex remains.
+    Beta; on a term it always terminates with a pure term).  The
+    leftmost-outermost redex is the pre-order-first one.  Raises
+    BudgetExceeded once ``max_steps`` rewrites have happened and an enabled
+    redex remains.
     With ``keep_terms=False`` the trace omits the per-step result terms.
     A step costs its redex's depth, for the position and any result term.
     A parent that a step makes a redex fires from its children at once;
@@ -298,7 +304,7 @@ def normalize(
             return focus, Trace(tuple(steps))
         node, ordinal = parents.pop(), ordinals.pop()
         if node._children()[ordinal] is not focus:
-            node = with_child(node, ordinal, focus)
+            node = _with_child(node, ordinal, focus)
         focus, resume, test = node, ordinal + 1, False
 
 

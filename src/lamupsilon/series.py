@@ -74,11 +74,15 @@ class Series:
 
     @classmethod
     def one(cls, order: int) -> "Series":
+        """The series 1 to ``order``; ValueError for a negative order."""
+        if _int("order", order) < 0:
+            raise ValueError("order must be non-negative")
         return cls([1] + [0] * order)
 
     @classmethod
     def z(cls, order: int) -> "Series":
-        return cls([0, 1] + [0] * (order - 1)) if order >= 1 else cls([0])
+        """The series z to ``order``: ``one(order)`` moved up one place."""
+        return cls((0, *cls.one(order).coeffs[:-1]))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Series) and self.coeffs == other.coeffs
@@ -92,7 +96,7 @@ class Series:
         return f"Series([{head}{tail}]; order={self.order})"
 
     def coefficient(self, n: int):
-        if not 0 <= n <= self.order:
+        if not 0 <= _int("n", n) <= self.order:
             raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
         return self.coeffs[n]
 

@@ -171,7 +171,7 @@ def run_experiment(
     """Sample m uniform size-n terms and summarize the given parameters.
 
     ``params`` may contain ParamKind values, their names and ``"nested"``;
-    any other name raises ValueError.  Deterministic in (n, m, seed)
+    any other name raises ValueError, and a bare string TypeError.  Deterministic in (n, m, seed)
     regardless of ``workers``, a positive integer (default: the
     UPSILON_THREADS environment variable, else serial); any other count
     raises ValueError.
@@ -181,6 +181,8 @@ def run_experiment(
     if _int("m", m) < 2:
         raise InsufficientSamples("need at least two samples")
     _int("seed", seed)
+    if isinstance(params, str):
+        raise TypeError(f"params must be a list of parameter names, not {params!r}")
     names = tuple(dict.fromkeys(_param_name(p) for p in params))
     if not names:
         raise ValueError("no parameters requested")

@@ -27,6 +27,7 @@ from __future__ import annotations
 from decimal import Decimal
 
 from .terms import SHIFT, Abs, App, Closure, Index, Lift, Shift, Slash, Subst, Term
+from .terms import _abs, _app, _closure, _index, _lift, _slash
 
 
 class ParseError(ValueError):
@@ -100,7 +101,9 @@ def parse_term(text: str) -> Term:
 
     One loop keeps the open constructs on a stack, innermost last: the
     token that opened each, "/" for a slash payload and "app" for an
-    application (applications and closures sit on their left part).
+    application (applications and closures sit on their left part).  The
+    grammar gives every child its sort, and an index token is a
+    non-negative int, so the unchecked factories build the nodes.
     """
     tokens = _tokenize(text)
     pos = 0
@@ -125,7 +128,7 @@ def parse_term(text: str) -> Term:
         while node is None:
             kind, value, _ = tokens[pos]
             if kind == "index":
-                node = Index(value)
+                node = _index(value)
             elif kind in ("\\", "("):
                 stack.append(kind)
             else:
@@ -142,21 +145,21 @@ def parse_term(text: str) -> Term:
                     break
                 if stack[-1] == "app":
                     stack.pop()
-                    node = App(stack.pop(), node)
+                    node = _app(stack.pop(), node)
                 if kind in ("index", "("):
                     stack += [node, "app"]
                     break
                 while stack[-1] == "\\":
                     stack.pop()
-                    node = Abs(node)
+                    node = _abs(node)
             frame = stack.pop()
             pos = _expect(tokens, pos, _CLOSER[frame])
             if frame == "eof":
                 return node
             if frame == "[":
-                node = Closure(stack.pop(), node)
+                node = _closure(stack.pop(), node)
             elif frame != "(":
-                node = Slash(node) if frame == "/" else Lift(node)
+                node = _slash(node) if frame == "/" else _lift(node)
             in_subst = frame in ("/", "lift")
 
 

@@ -41,6 +41,7 @@ from typing import Optional
 
 from . import _int
 from .terms import SHIFT, Abs, App, Closure, Index, Lift, Shift, Slash, Term, _Node, _node_class
+from .terms import _abs, _app, _closure, _index, _lift, _slash
 
 
 class InvalidSize(ValueError):
@@ -232,20 +233,22 @@ def _fold(plan: list[tuple[int, int]]) -> Term:
     pre-order, built bottom-up.  A leaf anchor (code 0) under a chain of k
     makes the index k; a right-only (1) or two-child (3) anchor makes a
     binder or an application, or under a chain of k >= 1 a closure with a
-    shift or slash base wrapped in k - 1 lifts."""
+    shift or slash base wrapped in k - 1 lifts.  Every child is a term
+    but the closure's substitution, and a chain length is a non-negative
+    int, so the unchecked factories build the nodes."""
     built: list[Term] = []  # a left subtree's term lies above its sibling's
     for chain, kind in reversed(plan):
         if not kind:
-            built.append(Index(chain))
+            built.append(_index(chain))
         elif not chain:
             top = built.pop()
-            built.append(Abs(top) if kind == 1 else App(top, built.pop()))
+            built.append(_abs(top) if kind == 1 else _app(top, built.pop()))
         else:
             base = built.pop()
-            sub = SHIFT if kind == 1 else Slash(built.pop())
+            sub = SHIFT if kind == 1 else _slash(built.pop())
             for _ in range(chain - 1):
-                sub = Lift(sub)
-            built.append(Closure(base, sub))
+                sub = _lift(sub)
+            built.append(_closure(base, sub))
     return built[0]
 
 

@@ -20,6 +20,7 @@ from lamupsilon import (
     Redex,
     Rng,
     RuleKind,
+    Series,
     apply_at,
     catalan,
     count_redexes,
@@ -204,6 +205,9 @@ ARGUMENTS = {
     ),
     ("subterm_at", "position"): lambda x: subterm_at(_TERM, (0, x)),
     ("replace_at", "position"): lambda x: replace_at(_TERM, (x,), Index(1)),
+    ("Series.one", "order"): Series.one,
+    ("Series.z", "order"): Series.z,
+    ("Series.coefficient", "n"): lambda x: Series.one(3).coefficient(x),
 }
 
 #: The enum that the TypeError names for a kind parameter.
@@ -237,7 +241,8 @@ def test_int_and_kind_arguments_raise_type_error():
 
 def test_the_argument_table_lists_every_int_and_kind_parameter():
     # a new public parameter annotated with int, ParamKind or RuleKind has to
-    # join ARGUMENTS, so it cannot skip the class check unnoticed
+    # join ARGUMENTS, so it cannot skip the class check unnoticed; a class is
+    # read through its __init__ and every public method written in Python
     mentions = re.compile(r"\b(int|ParamKind|RuleKind)\b")
     found = set()
     for name in lamupsilon.__all__:
@@ -246,9 +251,11 @@ def test_the_argument_table_lists_every_int_and_kind_parameter():
             continue
         if inspect.isclass(obj):
             entries = [(name, obj.__init__)] + [
-                (f"{name}.{method}", getattr(obj, method))
-                for method in ("derived", "below")
-                if hasattr(obj, method)
+                (f"{name}.{method}", function)
+                for method, function in inspect.getmembers(
+                    obj, lambda value: inspect.isfunction(value) or inspect.ismethod(value)
+                )
+                if not method.startswith("_")
             ]
         elif inspect.isroutine(obj):
             entries = [(name, obj)]
@@ -258,5 +265,6 @@ def test_the_argument_table_lists_every_int_and_kind_parameter():
             for parameter in inspect.signature(function).parameters.values():
                 if mentions.search(str(parameter.annotation)):
                     found.add((entry, parameter.name))
-    assert {("enumerate_trees", "n"), ("Rng.derived", "index"), ("Index", "n")} <= found
+    assert {("enumerate_trees", "n"), ("Rng.derived", "index"), ("Index", "n"),
+            ("Series.coefficient", "n")} <= found
     assert found <= ARGUMENTS.keys(), sorted(found - ARGUMENTS.keys())

@@ -40,6 +40,7 @@ from lamupsilon import (
 from lamupsilon import rewrite
 from lamupsilon.cli import main
 from lamupsilon.rewrite import UPSILON_RULES, TraceStep, _upsilon_levels, rewrite_root
+from lamupsilon.terms import _app, _closure
 
 from conftest import bigstep_normal_form, naive_normalize, terms
 
@@ -338,16 +339,16 @@ def test_full_kept_results_match_the_naive_rescan_on_random_terms():
 
 
 def test_cascades_fire_without_rebuilding_the_parent(monkeypatch):
-    # rebuilding a parent only to match it again costs about one with_child
+    # rebuilding a parent only to match it again costs about one _with_child
     # call per step; firing the cascade from the children costs a tenth
-    calls, with_child = 0, rewrite.with_child
+    calls, with_child = 0, rewrite._with_child
 
     def counting_with_child(*args):
         nonlocal calls
         calls += 1
         return with_child(*args)
 
-    monkeypatch.setattr(rewrite, "with_child", counting_with_child)
+    monkeypatch.setattr(rewrite, "_with_child", counting_with_child)
     steps = 0
     for k in range(20):
         t = sample_term(1000, Rng.derived(0, k))
@@ -506,7 +507,8 @@ def test_unsuspended_constructor_examples():
     assert unsuspended_constructors(Closure(Index(0), Slash(Abs(Index(0))))) == 2
 
 
-@pytest.mark.parametrize("node", [SHIFT, App(SHIFT, Index(0)), App(1, Index(0))])
+# built unchecked: the public constructors reject these children
+@pytest.mark.parametrize("node", [SHIFT, _app(SHIFT, Index(0)), _app(1, Index(0))])
 def test_unsuspended_constructors_rejects_non_terms(node):
     with pytest.raises(TypeError, match="not a term"):
         unsuspended_constructors(node)
@@ -519,7 +521,7 @@ def test_walks_reject_a_root_that_is_not_a_node(root):
             walk(root)
 
 
-@pytest.mark.parametrize("node", [SHIFT, Slash(Index(0)), object(), Closure(Index(0), 5)])
+@pytest.mark.parametrize("node", [SHIFT, Slash(Index(0)), object(), _closure(Index(0), 5)])
 def test_match_redex_is_none_off_the_term_redexes(node):
     assert match_redex(node) is None
 

@@ -51,6 +51,13 @@ def test_series_basics():
     assert Series(range(7)) == z / ((one - z) * (one - z))
     assert (one / geom).coeffs == (1, -1, 0, 0, 0, 0, 0)
     assert (z * z * geom).coeffs == (0, 0, 1, 1, 1, 1, 1)
+    assert Series.one(0).coeffs == Series.z(1).coeffs[1:] == (1,)
+    assert Series.z(0).coeffs == (0,)
+    for make in (Series.one, Series.z):  # -3 made an order-0 series
+        with pytest.raises(ValueError, match="order must be non-negative"):
+            make(-3)
+    with pytest.raises(IndexError):
+        one.coefficient(7)
 
 
 def test_sparse_factors_and_divisors_give_the_full_convolution():

@@ -123,6 +123,9 @@ def test_experiment_argument_validation():
         run_experiment(3, 10, 0, [])
     with pytest.raises(ValueError):
         run_experiment(3, 10, 0, ["bogus"])
+    # a bare string was read one letter at a time: "unknown parameter 'b'"
+    with pytest.raises(TypeError, match="^params must be a list of parameter names, not 'beta'$"):
+        run_experiment(5, 4, 0, "beta")
 
 
 def test_moments_are_exact_integer_arithmetic():

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 from dataclasses import FrozenInstanceError, fields
 
 import pytest
@@ -10,25 +11,31 @@ from lamupsilon import (
     Abs,
     App,
     BinTree,
+    BudgetExceeded,
     Closure,
     Index,
     Lift,
+    Rng,
     Shift,
     Slash,
     count_all_redexes,
     enumerate_terms,
+    enumerate_trees,
     find_redexes,
     has_nested_substitution,
     is_pure,
     iter_subterms,
     normalize,
+    parse_term,
+    phi,
     render_term,
     replace_at,
+    sample_term,
     size,
     size_sub,
     subterm_at,
 )
-from lamupsilon.terms import children, with_child
+from lamupsilon.terms import _abs, _app, _closure, _index, _lift, _slash, children, with_child
 
 from conftest import substs, terms
 
@@ -201,7 +208,8 @@ def test_children_are_the_fields_in_order(node):
     # with_child rebuilds through the class from children(), and repr prints
     # the fields: both need the children to be the fields, in field order
     assert children(node) == tuple(getattr(node, f.name) for f in fields(node))
-    assert with_child(node, 0, Index(5)) == type(node)(Index(5), *children(node)[1:])
+    new = Lift(SHIFT) if isinstance(node, Lift) else Index(5)  # the first slot's sort
+    assert with_child(node, 0, new) == type(node)(new, *children(node)[1:])
 
 
 @pytest.mark.parametrize("node", [
@@ -225,7 +233,105 @@ def test_nodes_are_slotted_and_frozen(node):
             delattr(node, name)
 
 
-@pytest.mark.parametrize("term", [App(1, Index(0)), App(Index(0), BinTree()), Abs(None)])
+#: The sorts of each class's children, in order, stated apart from the classes.
+_CHILD_SORTS = {Index: (), Shift: (), Abs: ("T",), App: ("T", "T"), Closure: ("T", "S"),
+                Slash: ("T",), Lift: ("S",)}
+_SORT_OF = {Index: "T", Abs: "T", App: "T", Closure: "T", Slash: "S", Lift: "S", Shift: "S"}
+
+
+#: A well-sorted example of each class with children, and a child of the wrong
+#: sort for each sort: a term slot takes no substitution, a substitution slot no term.
+_GOOD = [
+    Abs(Index(0)), App(Index(0), Index(1)), Closure(Index(0), SHIFT), Slash(Index(2)), Lift(SHIFT),
+]
+_WRONG = {"Term": (SHIFT, Lift(SHIFT), Slash(Index(0)), 0, None, BinTree()),
+          "Subst": (Index(0), Abs(Index(0)), Closure(Index(0), SHIFT), 0, None)}
+
+
+@pytest.mark.parametrize("node", _GOOD)
+def test_ill_sorted_children_raise_type_error(node):
+    # the root of replace_at is a term, so a substitution sits in a closure
+    root, path = (node, ()) if _SORT_OF[node.__class__] == "T" else (Closure(Index(0), node), (1,))
+    name = node.__class__.__name__
+    for ordinal, field in enumerate(fields(node)):
+        sort = "a term" if field.type == "Term" else "a substitution"
+        for wrong in _WRONG[field.type]:
+            error = f"^{name} {field.name} must be {sort}, not {re.escape(repr(wrong))}$"
+            kids = list(children(node))
+            kids[ordinal] = wrong
+            with pytest.raises(TypeError, match=error):
+                node.__class__(*kids)
+            with pytest.raises(TypeError, match=error):
+                with_child(node, ordinal, wrong)
+            with pytest.raises(TypeError, match=error):
+                replace_at(root, path + (ordinal,), wrong)
+
+
+def test_replace_at_checks_the_slot_below_the_root():
+    # the replaced node's parent is rebuilt checked, the rest of the spine unchecked
+    t = App(Abs(Index(0)), Closure(Index(1), Lift(Slash(Index(2)))))
+    with pytest.raises(TypeError, match="^Abs body must be a term, not Shift"):
+        replace_at(t, (0, 0), SHIFT)
+    with pytest.raises(TypeError, match=r"^Slash term must be a term, not Lift\(sub=Shift\(\)\)$"):
+        replace_at(t, (1, 1, 0, 0), Lift(SHIFT))
+    assert replace_at(t, (1, 1, 0, 0), Abs(Index(3))) == parse_term(r"(\0) 1[lift(\3/)]")
+
+
+def _assert_well_sorted(term):
+    stack = [(term, "T")]
+    while stack:
+        node, sort = stack.pop()
+        assert _SORT_OF[node.__class__] == sort, node
+        if node.__class__ is Index:
+            assert node.n.__class__ is int and node.n >= 0, node
+        stack += zip(children(node), _CHILD_SORTS[node.__class__])
+
+
+def test_parser_sampler_and_rewriter_build_well_sorted_nodes():
+    # they build through the unchecked factories; every size <= 7, exhaustively
+    for n in range(1, 8):
+        for tree in enumerate_trees(n):
+            _assert_well_sorted(phi(tree))
+        for t in enumerate_terms(n):
+            _assert_well_sorted(parse_term(render_term(t)))
+        for k in range(20):
+            _assert_well_sorted(sample_term(n, Rng.derived(n, k)))
+    for n in range(1, 6):
+        for t in enumerate_terms(n):
+            for strategy in ("full", "upsilon"):
+                try:
+                    _, trace = normalize(t, strategy, 60)
+                except BudgetExceeded as stop:
+                    trace = stop.trace
+                for step in trace.steps:
+                    _assert_well_sorted(step.result)
+
+
+@pytest.mark.parametrize("factory, cls, args", [
+    (_index, Index, (3,)),
+    (_abs, Abs, (Index(0),)),
+    (_app, App, (Index(0), Abs(Index(1)))),
+    (_closure, Closure, (Index(0), Lift(SHIFT))),
+    (_slash, Slash, (Index(2),)),
+    (_lift, Lift, (SHIFT,)),
+])
+def test_factory_built_nodes_are_the_public_ones(factory, cls, args):
+    node, public = factory(*args), cls(*args)
+    assert node.__class__ is cls and not hasattr(node, "__dict__")
+    assert node == public and public == node and hash(node) == hash(public)
+    assert repr(node) == repr(public)
+    assert pickle.dumps(node) == pickle.dumps(public)
+    for copied in (pickle.loads(pickle.dumps(node)), copy.copy(node), copy.deepcopy(node)):
+        assert copied == public and copied.__class__ is cls
+    for name in [field.name for field in fields(node)] + ["foo"]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(node, name, Index(0))
+        with pytest.raises(FrozenInstanceError):
+            delattr(node, name)
+
+
+# built unchecked: the public constructors reject these children
+@pytest.mark.parametrize("term", [_app(1, Index(0)), _app(Index(0), BinTree()), _abs(None)])
 def test_folds_reject_a_non_node_below_the_root(term):
     folds = (size, is_pure, has_nested_substitution, lambda t: list(iter_subterms(t)),
              count_all_redexes, find_redexes, normalize, hash, lambda t: t == copy.copy(t))

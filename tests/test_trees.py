@@ -34,6 +34,7 @@ from lamupsilon import (
     tree_from_json,
     tree_to_json,
 )
+from lamupsilon.terms import _app, _closure, _lift
 from lamupsilon.trees import _BATCH, LEAF, _from_shape, _shape, _words
 
 from conftest import chi_square_quantile, terms
@@ -83,7 +84,7 @@ def test_phi_left_chains_make_successors_and_lifts():
 
 @pytest.mark.parametrize(
     "node",
-    [SHIFT, App(1, Index(0)), Closure(Index(0), Index(0)), Closure(Index(0), Lift(Index(1)))],
+    [SHIFT, _app(1, Index(0)), _closure(Index(0), Index(0)), _closure(Index(0), _lift(Index(1)))],
 )
 def test_phi_inv_rejects_non_terms(node):
     # a closure's substitution chain must end in a shift or a slash
