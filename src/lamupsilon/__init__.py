@@ -8,7 +8,8 @@ statistics harness.
 Submodules load on first use (PEP 562): ``import lamupsilon`` loads none of
 them, and the exact expectations load ``series`` alone.  The argument checks
 of every public entry point, ``_int`` and ``_member``, live here, at the
-bottom of the import graph.
+bottom of the import graph; the root check of a term or substitution,
+``terms._of_sort``, lives beside the sorts it reads.
 """
 
 import importlib
@@ -75,7 +76,8 @@ def _int(name: str, value):
 
 
 def _member(kind, value):
-    """``value``; TypeError unless it is a member of the enum ``kind``."""
+    """``value``; TypeError unless its class is ``kind``: a member of an
+    enum ``kind``, or a skeleton for ``kind`` ``BinTree``."""
     if value.__class__ is not kind:
         raise TypeError(f"not a {kind.__name__}: {value!r}")
     return value

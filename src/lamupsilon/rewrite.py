@@ -37,7 +37,6 @@ from .terms import (
     Index,
     Lift,
     Position,
-    Shift,
     Slash,
     Subst,
     Term,
@@ -47,7 +46,7 @@ from .terms import (
     _index,
     _lift,
     _nodes,
-    _not_a_node,
+    _of_sort,
     _slash,
     _with_child,
     is_pure,
@@ -154,7 +153,7 @@ def _closure_rule(body: Term, sub: Subst) -> Optional[RuleKind]:
         return RuleKind.RVAR if body.n else RuleKind.FVAR
     if sub.__class__ is Lift:
         return RuleKind.RVARLIFT if body.n else RuleKind.FVARLIFT
-    return RuleKind.VARSHIFT if sub.__class__ is Shift else None
+    return RuleKind.VARSHIFT
 
 
 def rewrite_root(term: Term, kind: RuleKind) -> Term:
@@ -180,18 +179,15 @@ def find_redexes(term: Term, kinds: Optional[Iterable[RuleKind]] = None) -> list
     redex, so a call costs the size of the term plus the depth of each
     redex found, not the depth of every node."""
     wanted = ALL_RULES if kinds is None else frozenset(_member(RuleKind, kind) for kind in kinds)
-    found, path, stack = [], [], [(term, 0, 0)]  # (node, depth, ordinal)
-    try:
-        while stack:
-            node, depth, ordinal = stack.pop()
-            path[depth:] = (ordinal,)  # path[0] stands for the root
-            if (kind := match_redex(node)) in wanted:
-                found.append(Redex(tuple(path[1:]), kind))
-            kids = node._children()
-            for i in range(len(kids) - 1, -1, -1):
-                stack.append((kids[i], depth + 1, i))
-    except AttributeError:
-        raise _not_a_node(node) from None
+    found, path, stack = [], [], [(_of_sort(term, "Term"), 0, 0)]  # (node, depth, ordinal)
+    while stack:
+        node, depth, ordinal = stack.pop()
+        path[depth:] = (ordinal,)  # path[0] stands for the root
+        if (kind := match_redex(node)) in wanted:
+            found.append(Redex(tuple(path[1:]), kind))
+        kids = node._children()
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append((kids[i], depth + 1, i))
     return found
 
 
@@ -204,16 +200,13 @@ def count_all_redexes(term: Term) -> dict[RuleKind, int]:
     """Counts for all eight rules in a single traversal.  A loop of its own:
     on this hot path of the sampling experiment ``_nodes`` costs a quarter more."""
     counts = dict.fromkeys(RuleKind, 0)
-    stack = [term]
-    try:
-        while stack:
-            node = stack.pop()
-            kind = match_redex(node)
-            if kind is not None:
-                counts[kind] += 1
-            stack += node._children()
-    except AttributeError:
-        raise _not_a_node(node) from None
+    stack = [_of_sort(term, "Term")]
+    while stack:
+        node = stack.pop()
+        kind = match_redex(node)
+        if kind is not None:
+            counts[kind] += 1
+        stack += node._children()
     return counts
 
 
@@ -261,7 +254,7 @@ def normalize(
     steps: list[TraceStep] = []
     parents: list[Term] = []  # nodes on the path from the root to the focus
     ordinals: list[int] = []  # ordinals[d]: the child of parents[d] on the path
-    focus: object = term
+    focus: object = _of_sort(term, "Term")
     test = True  # does the focus still need a redex test?
     resume = 0  # next child of the focus to visit
     while True:
@@ -291,10 +284,7 @@ def normalize(
                         kind = None
                 resume = 0
                 continue
-        try:
-            kids = focus._children()
-        except AttributeError:
-            raise _not_a_node(focus) from None
+        kids = focus._children()
         if resume < len(kids):
             parents.append(focus)
             ordinals.append(resume)
@@ -334,23 +324,22 @@ def has_nested_substitution(term: Term) -> bool:
     slash, including those wrapped in lifts, is exactly the complement of
     the restricted grammar behind ``solve_restricted_series``.
     """
-    return any(node.__class__ is Slash and not is_pure(node.term) for node in _nodes(term))
+    nodes = _nodes(_of_sort(term, "Term"))
+    return any(node.__class__ is Slash and not is_pure(node.term) for node in nodes)
 
 
 def unsuspended_constructors(term: Term) -> int:
     """Constructors reachable without entering any closure's substitution."""
     total = 0
-    stack = [term]
+    stack = [_of_sort(term, "Term")]
     while stack:
         node = stack.pop()
         if node.__class__ is Index:
             total += node.n
         elif node.__class__ is Closure:  # its substitution is suspended
             stack.append(node.body)
-        elif node.__class__ is Abs or node.__class__ is App:
+        else:  # an abstraction or an application
             stack += node._children()
-        else:
-            raise TypeError(f"not a term: {node!r}")
         total += 1
     return total
 
@@ -394,7 +383,7 @@ def is_strict_form_bounded(
     the bounded search only yields ``"unknown"``.  A bound that is not an
     ``int`` raises TypeError, a negative one ValueError.
     """
-    n = size(term)
+    n = size(_of_sort(term, "Term"))
     max_source_size = _bound("max_source_size", max_source_size, n + 4)
     max_steps = _bound("max_steps", max_steps, 4 * n + 16)
     if _is_source(term):

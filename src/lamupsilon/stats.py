@@ -20,12 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from . import _int
-from .rewrite import (
-    RuleKind,
-    count_all_redexes,
-    has_nested_substitution,
-    unsuspended_constructors,
-)
+from .rewrite import count_all_redexes, has_nested_substitution, unsuspended_constructors
 from .series import ParamKind, expected_param_exact, nested_free_fraction
 from .trees import InvalidSize, Rng, sample_term
 
@@ -122,18 +117,20 @@ def _param_name(param: ParamName) -> str:
         raise ValueError(f"unknown parameter {param!r}") from None
 
 
-def _evaluate(term, names: tuple[str, ...]) -> tuple[int, ...]:
+def _evaluate(term, columns: list) -> tuple[int, ...]:
+    """The values of ``columns`` on ``term``: ``NESTED``, the name of
+    ``ParamKind.UNSUSPENDED``, or the ``RuleKind`` a redex count counts."""
     redexes = None
     values = []
-    for name in names:
-        if name == NESTED:
+    for column in columns:
+        if column == NESTED:
             values.append(1 if has_nested_substitution(term) else 0)
-        elif name == ParamKind.UNSUSPENDED.value:
+        elif column == ParamKind.UNSUSPENDED.value:
             values.append(unsuspended_constructors(term))
         else:
             if redexes is None:
                 redexes = count_all_redexes(term)
-            values.append(redexes[RuleKind[ParamKind(name).name]])
+            values.append(redexes[column])
     return tuple(values)
 
 
@@ -141,7 +138,9 @@ def _sample_values(
     n: int, seed: int, lo: int, hi: int, names: tuple[str, ...]
 ) -> list[tuple[int, ...]]:
     """Parameter values of the samples with indices [lo, hi), one tuple each."""
-    return [_evaluate(sample_term(n, Rng.derived(seed, i)), names) for i in range(lo, hi)]
+    plain = (NESTED, ParamKind.UNSUSPENDED.value)
+    columns = [name if name in plain else ParamKind(name).rule_kind for name in names]
+    return [_evaluate(sample_term(n, Rng.derived(seed, i)), columns) for i in range(lo, hi)]
 
 
 def _worker_count(workers: Optional[int]) -> int:

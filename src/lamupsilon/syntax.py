@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from decimal import Decimal
 
-from .terms import SHIFT, Abs, App, Closure, Index, Lift, Shift, Slash, Subst, Term
-from .terms import _abs, _app, _closure, _index, _lift, _slash
+from .terms import SHIFT, Abs, App, Closure, Index, Lift, Shift, Subst, Term
+from .terms import _abs, _app, _closure, _index, _lift, _of_sort, _slash
 
 
 class ParseError(ValueError):
@@ -202,18 +202,16 @@ def _render(node, ctx: int) -> str:
             out.append("shift")
         elif isinstance(node, Lift):
             stack += [")", (node.sub, _SUB), "lift("]
-        elif isinstance(node, Slash):
+        else:  # a slash
             stack += ["/", (node.term, _TOP)]
-        else:
-            raise TypeError(f"not a lambda-upsilon node: {node!r}")
     return "".join(out)
 
 
 def render_term(term: Term) -> str:
     """Canonical text: minimal parentheses, single spaces."""
-    return _render(term, _TOP)
+    return _render(_of_sort(term, "Term"), _TOP)
 
 
 def render_subst(sub: Subst) -> str:
     """Canonical text of a substitution, as it appears inside ``[...]``."""
-    return _render(sub, _SUB)
+    return _render(_of_sort(sub, "Subst"), _SUB)

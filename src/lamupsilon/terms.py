@@ -13,20 +13,18 @@ integers).
 
 Each node class is a slotted dataclass (no ``__dict__``) that states its
 child layout once, in its ``_children`` method, and every walk reads that
-method.  ``children`` is the node check, and the fast one: it turns a
-non-node's ``AttributeError`` into a ``TypeError``.  The few hot loops
-that read ``_children`` directly (the term code and equality here, the
-redex walks of ``rewrite``) catch that ``AttributeError`` around the loop
-and raise the same ``TypeError``, so any non-node in a term is rejected.
-``_nodes`` yields every node once, checked, to the folds that do not
-depend on order.  Every node class, and the skeletons of ``trees``,
-inherit equality, hashing, ``repr`` and frozen attributes from one base,
-``_Node``: two nodes are equal when they have the same class and the same
-code, and the hash is that of the code.  Terms find equality by one
-lockstep walk over both terms that stops at the first difference and does
-not enter a subterm the two share; skeletons compare their codes.
-Assigning or deleting any attribute of a node raises
-``FrozenInstanceError``.  A term's code is its term code: the pre-order
+method.  The public constructors check sorts (below), so every node
+below a root is well sorted, and only a root can be of the wrong sort or
+no node at all.  Each public entry point checks its root once, through
+``_of_sort``, and its walk reads ``_children`` unchecked.  ``_nodes``
+yields every node once to the folds that do not depend on order.  Every
+node class, and the skeletons of ``trees``, inherit equality, hashing,
+``repr`` and frozen attributes from one base, ``_Node``: two nodes are
+equal when they have the same class and the same code, and the hash is
+that of the code.  Terms find equality by one lockstep walk over both
+terms that stops at the first difference and does not enter a subterm
+the two share; skeletons compare their codes.  Assigning or deleting any
+attribute of a node raises ``FrozenInstanceError``.  A term's code is its term code: the pre-order
 list of per-node codes, ``n`` for ``Index(n)`` and the class's fixed
 negative ``_tag`` for every other node.  A tag fixes its node's number of
 children, so the code is a prefix code and determines the term.  The code
@@ -62,16 +60,13 @@ class _Node:
         ``_tag`` for every other node.  Its own loop: a pre-order generator
         costs it a fifth more."""
         code, stack = [], [self]
-        try:
-            while stack:
-                node = stack.pop()
-                if node.__class__ is Index:
-                    code.append(node.n)
-                else:
-                    code.append(node._tag)
-                    stack += node._children()[::-1]
-        except AttributeError:
-            raise _not_a_node(node) from None
+        while stack:
+            node = stack.pop()
+            if node.__class__ is Index:
+                code.append(node.n)
+            else:
+                code.append(node._tag)
+                stack += node._children()[::-1]
         return code
 
     def __eq__(self, other) -> bool:
@@ -81,18 +76,13 @@ class _Node:
         if other.__class__ is not self.__class__:
             return NotImplemented
         stack = [(self, other)]
-        try:
-            while stack:
-                a, b = stack.pop()
-                kids = a._children()
-                if a is b:
-                    continue
-                pairs = zip(kids, b._children())
-                if a.__class__ is not b.__class__ or a.__class__ is Index and a.n != b.n:
-                    return False
-                stack += pairs
-        except AttributeError:
-            raise _not_a_node(b if hasattr(a, "_children") else a) from None
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__ or a.__class__ is Index and a.n != b.n:
+                return False
+            stack += zip(a._children(), b._children())
         return True
 
     def __hash__(self) -> int:
@@ -143,9 +133,7 @@ class Index(_Node):
     n: int
 
     def __post_init__(self) -> None:
-        if self.n.__class__ is not int:
-            raise TypeError(f"de Bruijn index n must be an int, not {self.n!r}")
-        if self.n < 0:
+        if _int("de Bruijn index n", self.n) < 0:
             raise ValueError("de Bruijn indices must be non-negative")
 
     def _children(self) -> tuple:
@@ -299,8 +287,20 @@ Position = tuple[int, ...]
 
 
 def _not_a_node(node) -> TypeError:
-    """The error that every walk raises for a non-node it meets."""
+    """The error for a value that is not a node at all."""
     return TypeError(f"not a lambda-upsilon node: {node!r}")
+
+
+def _of_sort(value, sort: str):
+    """``value``, the root of an argument, if it is a node of ``sort``
+    (``"Term"`` or ``"Subst"``); else TypeError, which names the sort for
+    a node of the other one."""
+    classes, name = _SORTS[sort]
+    if value.__class__ in classes:
+        return value
+    if value.__class__ in _TERMS or value.__class__ in _SUBSTS:
+        raise TypeError(f"not {name}: {value!r}")
+    raise _not_a_node(value)
 
 
 def children(node: Node) -> tuple[Node, ...]:
@@ -338,19 +338,19 @@ def _nodes(term: Node):
         yield node
 
 
-def size(term: Term) -> int:
-    """Constructor count of a term; ``size(Index(n)) == n + 1``."""
+def size(term: Node) -> int:
+    """Constructor count of a term or a substitution; ``size(Index(n)) == n + 1``."""
     return sum(node.n + 1 if node.__class__ is Index else 1 for node in _nodes(term))
 
 
 def size_sub(sub: Subst) -> int:
     """Constructor count of a substitution; ``size_sub(SHIFT) == 1``."""
-    return size(sub)  # same traversal; the size rules coincide
+    return size(_of_sort(sub, "Subst"))  # same traversal; the size rules coincide
 
 
 def is_pure(term: Term) -> bool:
     """True iff the term contains no closure anywhere."""
-    return not any(node.__class__ is Closure for node in _nodes(term))
+    return not any(node.__class__ is Closure for node in _nodes(_of_sort(term, "Term")))
 
 
 def iter_subterms(term: Term):
@@ -359,20 +359,20 @@ def iter_subterms(term: Term):
     Pre-order means node before children, fun before arg, body before sub;
     substitution nodes are included.
     """
-    stack: list[tuple[Position, Node]] = [((), term)]
+    stack: list[tuple[Position, Node]] = [((), _of_sort(term, "Term"))]
     while stack:
         pos, node = stack.pop()
         yield pos, node
-        kids = children(node)
+        kids = node._children()
         for i in range(len(kids) - 1, -1, -1):
             stack.append((pos + (i,), kids[i]))
 
 
 def _walk(term: Term, position: Position) -> list[Node]:
     """Nodes along ``position``, root first; raises ValueError on an invalid path."""
-    path: list[Node] = [term]
+    path: list[Node] = [_of_sort(term, "Term")]
     for depth, ordinal in enumerate(position):
-        kids = children(path[-1])
+        kids = path[-1]._children()
         if not 0 <= _int("position ordinal", ordinal) < len(kids):
             raise ValueError(
                 f"invalid position {position!r}: no child {ordinal} at depth {depth}"
@@ -391,7 +391,7 @@ def replace_at(term: Term, position: Position, replacement: Node) -> Term:
     ``replacement`` does not have the sort of its slot."""
     *spine, _ = _walk(term, position)
     if not position:
-        return replacement
+        return _of_sort(replacement, "Term")
     new = with_child(spine[-1], position[-1], replacement)  # the one check
     for ordinal, parent in zip(reversed(position[:-1]), reversed(spine[:-1])):
         new = _with_child(parent, ordinal, new)

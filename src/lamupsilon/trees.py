@@ -39,9 +39,9 @@ from functools import lru_cache
 from operator import attrgetter, itemgetter
 from typing import Optional
 
-from . import _int
-from .terms import SHIFT, Abs, App, Closure, Index, Lift, Shift, Slash, Term, _Node, _node_class
-from .terms import _abs, _app, _closure, _index, _lift, _slash
+from . import _int, _member
+from .terms import SHIFT, Abs, App, Index, Lift, Shift, Term, _Node, _node_class
+from .terms import _abs, _app, _closure, _factory, _index, _lift, _of_sort, _slash
 
 
 class InvalidSize(ValueError):
@@ -50,10 +50,16 @@ class InvalidSize(ValueError):
 
 @_node_class
 class BinTree(_Node):
-    """Plane binary tree skeleton; None stands for a missing child."""
+    """Plane binary tree skeleton; None stands for a missing child, and any
+    other child that is not a ``BinTree`` raises TypeError."""
 
     left: Optional["BinTree"] = None
     right: Optional["BinTree"] = None
+
+    def __post_init__(self) -> None:
+        for name, child in (("left", self.left), ("right", self.right)):
+            if child is not None and child.__class__ is not BinTree:
+                raise TypeError(f"BinTree {name} must be a BinTree or None, not {child!r}")
 
     def _code(self) -> list[int]:
         return _shape(self)
@@ -67,6 +73,7 @@ class BinTree(_Node):
 
 
 LEAF = BinTree()
+_bintree = _factory(BinTree)  # unchecked: for children that are skeletons or None
 
 
 def _shape(root, children=attrgetter("left", "right")) -> list[int]:
@@ -84,7 +91,7 @@ def _shape(root, children=attrgetter("left", "right")) -> list[int]:
     return codes
 
 
-def _from_shape(codes: list[int], make=BinTree):
+def _from_shape(codes: list[int], make=_bintree):
     """The skeleton of a shape code, built bottom-up by ``make(left, right)``."""
     built: list = []  # a left subtree lies above its sibling
     for code in reversed(codes):
@@ -95,14 +102,14 @@ def _from_shape(codes: list[int], make=BinTree):
 
 def node_count(tree: BinTree) -> int:
     """Number of nodes of a skeleton, the size of the term ``phi`` gives it."""
-    return len(_shape(tree))
+    return len(_shape(_member(BinTree, tree)))
 
 
 def tree_to_json(tree: Optional[BinTree]):
     """Nested ``{"l": ..., "r": ...}`` objects with null for no child."""
     if tree is None:
         return None
-    return _from_shape(_shape(tree), lambda left, right: {"l": left, "r": right})
+    return _from_shape(_shape(_member(BinTree, tree)), lambda left, right: {"l": left, "r": right})
 
 
 def tree_from_json(data) -> Optional[BinTree]:
@@ -127,7 +134,7 @@ def enumerate_trees(n: int) -> tuple[BinTree, ...]:
     for left_nodes in range(n):
         lefts = enumerate_trees(left_nodes) if left_nodes else (None,)
         rights = enumerate_trees(n - 1 - left_nodes) if n - 1 - left_nodes else (None,)
-        out.extend(BinTree(l, r) for l in lefts for r in rights)
+        out.extend(_bintree(l, r) for l in lefts for r in rights)
     return tuple(out)
 
 
@@ -262,7 +269,7 @@ def phi(tree: BinTree) -> Term:
     a chain is a run of 2s followed by its anchor's code.
     """
     plan, chain = [], 0
-    for code in _shape(tree):
+    for code in _shape(_member(BinTree, tree)):
         if code == 2:
             chain += 1
         else:
@@ -279,7 +286,7 @@ def phi_inv(term: Term) -> BinTree:
     children; a closure with j lifts is j + 1 2s, then 1 before its body
     for a shift base, or 3 before its body and the slash payload.
     """
-    codes, stack = [], [term]
+    codes, stack = [], [_of_sort(term, "Term")]
     while stack:
         t = stack.pop()
         if isinstance(t, Index):
@@ -290,7 +297,7 @@ def phi_inv(term: Term) -> BinTree:
         elif isinstance(t, App):
             codes.append(3)
             stack += (t.arg, t.fun)
-        elif isinstance(t, Closure):
+        else:  # a closure
             sub = t.sub
             codes.append(2)
             while isinstance(sub, Lift):
@@ -299,13 +306,9 @@ def phi_inv(term: Term) -> BinTree:
             if isinstance(sub, Shift):
                 codes.append(1)
                 stack.append(t.body)
-            elif isinstance(sub, Slash):
+            else:  # a slash
                 codes.append(3)
                 stack += (sub.term, t.body)
-            else:
-                raise TypeError(f"not a term: {t!r}")
-        else:
-            raise TypeError(f"not a term: {t!r}")
     return _from_shape(codes)
 
 

@@ -13,16 +13,20 @@ import pytest
 
 import lamupsilon
 from lamupsilon import (
+    SHIFT,
     Abs,
     App,
+    BinTree,
     Index,
     ParamKind,
     Redex,
     Rng,
     RuleKind,
     Series,
+    Slash,
     apply_at,
     catalan,
+    count_all_redexes,
     count_redexes,
     count_substs,
     count_terms,
@@ -31,18 +35,29 @@ from lamupsilon import (
     enumerate_trees,
     expected_param_exact,
     find_redexes,
+    has_nested_substitution,
+    is_pure,
     is_strict_form_bounded,
+    iter_subterms,
     nested_free_fraction,
+    node_count,
     normalize,
     param_value,
+    phi,
+    phi_inv,
     remy_tree,
+    render_subst,
+    render_term,
     replace_at,
     run_experiment,
     sample_term,
+    size_sub,
     solve_core_series,
     solve_restricted_series,
     subterm_at,
     total_param_bruteforce,
+    tree_to_json,
+    unsuspended_constructors,
 )
 
 #: The public names; refactors must leave this list exactly as it is.
@@ -268,3 +283,89 @@ def test_the_argument_table_lists_every_int_and_kind_parameter():
     assert {("enumerate_trees", "n"), ("Rng.derived", "index"), ("Index", "n"),
             ("Series.coefficient", "n")} <= found
     assert found <= ARGUMENTS.keys(), sorted(found - ARGUMENTS.keys())
+
+
+#: Every public parameter that takes the root of a term, a substitution or a
+#: skeleton, keyed by (entry point, parameter), with its sort and a call that
+#: puts ``x`` in that parameter and valid values elsewhere.
+ROOTS = {
+    ("normalize", "term"): ("Term", normalize),
+    ("find_redexes", "term"): ("Term", find_redexes),
+    ("count_redexes", "term"): ("Term", lambda x: count_redexes(x, RuleKind.BETA)),
+    ("count_all_redexes", "term"): ("Term", count_all_redexes),
+    ("has_nested_substitution", "term"): ("Term", has_nested_substitution),
+    ("unsuspended_constructors", "term"): ("Term", unsuspended_constructors),
+    ("is_strict_form_bounded", "term"): ("Term", is_strict_form_bounded),
+    ("param_value", "term"): ("Term", lambda x: param_value(x, ParamKind.BETA)),
+    ("apply_at", "term"): ("Term", lambda x: apply_at(x, Redex((), RuleKind.BETA))),
+    ("is_pure", "term"): ("Term", is_pure),
+    ("iter_subterms", "term"): ("Term", lambda x: list(iter_subterms(x))),
+    ("subterm_at", "term"): ("Term", lambda x: subterm_at(x, ())),
+    ("replace_at", "term"): ("Term", lambda x: replace_at(x, (), Index(1))),
+    ("replace_at", "replacement"): ("Term", lambda x: replace_at(_TERM, (), x)),
+    ("render_term", "term"): ("Term", render_term),
+    ("phi_inv", "term"): ("Term", phi_inv),
+    ("size_sub", "sub"): ("Subst", size_sub),
+    ("render_subst", "sub"): ("Subst", render_subst),
+    ("phi", "tree"): ("BinTree", phi),
+    ("node_count", "tree"): ("BinTree", node_count),
+    ("tree_to_json", "tree"): ("BinTree", tree_to_json),
+}
+
+#: Roots that no entry of a sort takes, each with the start of its error: a
+#: node of the other sort, then values that are no node at all.
+_NO_NODE = [(x, "not a lambda-upsilon node: ") for x in (object(), None, BinTree())]
+_WRONG_ROOTS = {
+    "Term": [(SHIFT, "not a term: "), (Slash(Index(0)), "not a term: "), *_NO_NODE],
+    "Subst": [(Index(0), "not a substitution: "), (Abs(Index(0)), "not a substitution: "),
+              *_NO_NODE],
+    "BinTree": [(x, "not a BinTree: ") for x in (Index(0), SHIFT, object(), None)],
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ROOTS), ids="-".join)
+def test_roots_of_the_wrong_sort_raise_type_error(entry):
+    # the constructors check every child, so a root is the one node that
+    # can be of the wrong sort; each entry checks it before its walk
+    sort, call = ROOTS[entry]
+    for x, message in _WRONG_ROOTS[sort]:
+        if x is None and entry == ("tree_to_json", "tree"):
+            assert call(x) is None  # its parameter is Optional
+            continue
+        with pytest.raises(TypeError) as raised:
+            call(x)
+        assert str(raised.value) == message + repr(x), (entry, x)
+
+
+def test_the_root_table_lists_every_term_subst_and_skeleton_parameter():
+    # a new public parameter annotated with a sort or a skeleton has to join
+    # ROOTS or name its reason here, so it cannot skip the root check
+    # unnoticed.  A class counts by its public methods: a constructor takes
+    # children, which test_ill_sorted_children_raise_type_error and
+    # test_skeleton_children_must_be_skeletons cover.
+    exempt = {
+        ("match_redex", "term"): "a predicate: None off the redexes, whatever the value",
+        ("size", "term"): "takes either sort, as size_sub is its alias",
+    }
+    mentions = re.compile(r"\b(Term|Subst|Node|BinTree)\b")
+    found = set()
+    for name in lamupsilon.__all__:
+        obj = getattr(lamupsilon, name)
+        if inspect.isclass(obj):
+            entries = [
+                (f"{name}.{method}", function)
+                for method, function in inspect.getmembers(
+                    obj, lambda value: inspect.isfunction(value) or inspect.ismethod(value)
+                )
+                if not method.startswith("_")
+            ]
+        elif inspect.isroutine(obj):
+            entries = [(name, obj)]
+        else:
+            continue
+        for entry, function in entries:
+            for parameter in inspect.signature(function).parameters.values():
+                if mentions.search(str(parameter.annotation)):
+                    found.add((entry, parameter.name))
+    assert {("replace_at", "replacement"), ("render_subst", "sub"), ("phi", "tree")} <= found
+    assert found == ROOTS.keys() | exempt.keys(), sorted(found ^ (ROOTS.keys() | exempt.keys()))

@@ -40,7 +40,6 @@ from lamupsilon import (
 from lamupsilon import rewrite
 from lamupsilon.cli import main
 from lamupsilon.rewrite import UPSILON_RULES, TraceStep, _upsilon_levels, rewrite_root
-from lamupsilon.terms import _app, _closure
 
 from conftest import bigstep_normal_form, naive_normalize, terms
 
@@ -507,8 +506,7 @@ def test_unsuspended_constructor_examples():
     assert unsuspended_constructors(Closure(Index(0), Slash(Abs(Index(0))))) == 2
 
 
-# built unchecked: the public constructors reject these children
-@pytest.mark.parametrize("node", [SHIFT, _app(SHIFT, Index(0)), _app(1, Index(0))])
+@pytest.mark.parametrize("node", [SHIFT])
 def test_unsuspended_constructors_rejects_non_terms(node):
     with pytest.raises(TypeError, match="not a term"):
         unsuspended_constructors(node)
@@ -521,7 +519,7 @@ def test_walks_reject_a_root_that_is_not_a_node(root):
             walk(root)
 
 
-@pytest.mark.parametrize("node", [SHIFT, Slash(Index(0)), object(), _closure(Index(0), 5)])
+@pytest.mark.parametrize("node", [SHIFT, Slash(Index(0)), object()])
 def test_match_redex_is_none_off_the_term_redexes(node):
     assert match_redex(node) is None
 

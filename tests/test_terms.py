@@ -18,11 +18,8 @@ from lamupsilon import (
     Rng,
     Shift,
     Slash,
-    count_all_redexes,
     enumerate_terms,
     enumerate_trees,
-    find_redexes,
-    has_nested_substitution,
     is_pure,
     iter_subterms,
     normalize,
@@ -36,6 +33,7 @@ from lamupsilon import (
     subterm_at,
 )
 from lamupsilon.terms import _abs, _app, _closure, _index, _lift, _slash, children, with_child
+from lamupsilon.trees import _bintree
 
 from conftest import substs, terms
 
@@ -314,6 +312,7 @@ def test_parser_sampler_and_rewriter_build_well_sorted_nodes():
     (_closure, Closure, (Index(0), Lift(SHIFT))),
     (_slash, Slash, (Index(2),)),
     (_lift, Lift, (SHIFT,)),
+    (_bintree, BinTree, (BinTree(), None)),
 ])
 def test_factory_built_nodes_are_the_public_ones(factory, cls, args):
     node, public = factory(*args), cls(*args)
@@ -328,16 +327,6 @@ def test_factory_built_nodes_are_the_public_ones(factory, cls, args):
             setattr(node, name, Index(0))
         with pytest.raises(FrozenInstanceError):
             delattr(node, name)
-
-
-# built unchecked: the public constructors reject these children
-@pytest.mark.parametrize("term", [_app(1, Index(0)), _app(Index(0), BinTree()), _abs(None)])
-def test_folds_reject_a_non_node_below_the_root(term):
-    folds = (size, is_pure, has_nested_substitution, lambda t: list(iter_subterms(t)),
-             count_all_redexes, find_redexes, normalize, hash, lambda t: t == copy.copy(t))
-    for fold in folds:
-        with pytest.raises(TypeError, match="not a lambda-upsilon node"):
-            fold(term)
 
 
 def test_positions_resolve_and_replace():
