@@ -77,7 +77,8 @@ def _int(name: str, value):
 
 def _member(kind, value):
     """``value``; TypeError unless its class is ``kind``: a member of an
-    enum ``kind``, or a skeleton for ``kind`` ``BinTree``."""
+    enum ``kind``, or an instance of a class ``kind`` such as ``BinTree``,
+    ``Redex`` or ``Trace``."""
     if value.__class__ is not kind:
         raise TypeError(f"not a {kind.__name__}: {value!r}")
     return value

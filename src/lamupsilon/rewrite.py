@@ -165,6 +165,7 @@ def rewrite_root(term: Term, kind: RuleKind) -> Term:
 
 def apply_at(term: Term, redex: Redex) -> Term:
     """Apply ``redex`` to ``term``; raises InvalidRedex on mismatch."""
+    _member(Redex, redex)
     try:
         node = subterm_at(term, redex.position)
     except ValueError:
@@ -312,7 +313,7 @@ def _trace_items(trace: Trace):
 
 def trace_to_json(trace: Trace) -> list[dict]:
     """Wire format: ``[{"rule": ..., "position": [...], "term": ...}]``."""
-    return list(_trace_items(trace))
+    return list(_trace_items(_member(Trace, trace)))
 
 
 def has_nested_substitution(term: Term) -> bool:

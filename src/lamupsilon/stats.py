@@ -341,14 +341,26 @@ def export_report(
     return len(data)
 
 
+#: The JSON classes a SampleSummary field of each annotation takes, and their
+#: name: a float field also takes an int, and no field a bool.
+_JSON_TYPES = {"str": ((str,), "a string"), "int": ((int,), "an integer"),
+               "float": ((int, float), "a number")}
+
+
 def import_summaries(text: str) -> list[SampleSummary]:
     """Parse summaries back from the JSON export format.  Raises ValueError
     unless ``text`` is a JSON array of objects that each hold every
-    SampleSummary field; other keys, such as ``comparisons``, are ignored."""
+    SampleSummary field, with a value of the field's type; other keys,
+    such as ``comparisons``, are ignored."""
     rows = json.loads(text)
-    fields = SampleSummary.__dataclass_fields__.keys()
+    fields = SampleSummary.__dataclass_fields__
     if rows.__class__ is not list or not all(
-        row.__class__ is dict and row.keys() >= fields for row in rows
+        row.__class__ is dict and row.keys() >= fields.keys() for row in rows
     ):
         raise ValueError("not a JSON array of objects with every SampleSummary field")
+    for row in rows:
+        for name, field in fields.items():
+            classes, what = _JSON_TYPES[field.type]
+            if row[name].__class__ not in classes:
+                raise ValueError(f"SampleSummary {name} must be {what}, not {row[name]!r}")
     return [SampleSummary(**{k: row[k] for k in fields}) for row in rows]

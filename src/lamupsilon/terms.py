@@ -32,14 +32,18 @@ holds ints only, so hashes repeat across interpreters, and it and
 ``repr`` are built with explicit stacks, so depth is limited by memory
 only, never by the recursion limit.
 
-Each node class has two ways in.  The public class is checked: ``Index``
-takes a non-negative ``int``, and every other class raises ``TypeError``
-for a child of the wrong sort, where a field annotated ``Term`` takes a
-term and one annotated ``Subst`` a substitution.  The private factories
-(``_index``, ``_abs``, ``_app``, ``_closure``, ``_slash``, ``_lift``)
-and ``_with_child`` check nothing: they serve the rewriter, the parser
-and the sampler, which build well-sorted nodes by construction, at about
-two thirds of the public constructor's cost.
+Each sort is stated once, in ``_SORTS``: keyed by the annotation that
+names it, a row holds the sort's classes and its name in errors.
+``Term`` and ``Subst`` are the paper's two sorts, ``Node`` is either,
+and ``trees`` adds the skeleton's ``Optional['BinTree']``.  Each node
+class has two ways in.  The public class is checked: ``Index`` takes a
+non-negative ``int``, and every other class raises ``TypeError`` for a
+child not in the row of its field's annotation (``_Node.__post_init__``),
+as ``_of_sort`` does for a root not in a named row.  The private
+factories (``_index``, ``_abs``, ``_app``, ``_closure``, ``_slash``,
+``_lift``) and ``_with_child`` check nothing: they serve the rewriter,
+the parser and the sampler, which build well-sorted nodes by
+construction, at about a third of the public constructor's cost.
 """
 
 from __future__ import annotations
@@ -98,12 +102,20 @@ class _Node:
                 out.append(item)
                 continue
             pieces = [f"{item.__class__.__qualname__}("]
-            for i, field in enumerate(fields(item)):
-                value = getattr(item, field.name)
+            for i, (name, _) in enumerate(item._layout):
+                value = getattr(item, name)
                 nested = isinstance(value, _Node)
-                pieces += (f"{', ' if i else ''}{field.name}=", value if nested else repr(value))
+                pieces += (f"{', ' if i else ''}{name}=", value if nested else repr(value))
             stack += reversed(pieces + [")"])
         return "".join(out)
+
+    def __post_init__(self) -> None:
+        """Check each child against the ``_SORTS`` row of its field's annotation."""
+        for name, sort in self._layout:
+            classes, what = _SORTS[sort]
+            child = getattr(self, name)
+            if child.__class__ not in classes:
+                raise TypeError(f"{self.__class__.__name__} {name} must be {what}, not {child!r}")
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -114,14 +126,16 @@ class _Node:
 
 def _node_class(cls):
     """A node class as a slotted frozen dataclass that takes ``_Node``'s
-    equality, hashing, ``repr`` and frozen attribute errors.  The frozen
-    ``__setattr__`` and ``__delattr__`` that ``dataclass`` generates are
-    dropped: on a slotted class they name the class as it was before the
-    slots, and raise ``TypeError`` for any name that is not a field.  The
-    generated ``__init__`` sets fields through ``object``, so it keeps its
-    speed, and then runs the class's checks in ``__post_init__``."""
+    equality, hashing, ``repr``, frozen attribute errors and sort check,
+    with its ``(field name, annotation)`` pairs recorded once as
+    ``_layout``.  The frozen ``__setattr__`` and ``__delattr__`` that
+    ``dataclass`` generates are dropped: on a slotted class they name the
+    class as it was before the slots, and raise ``TypeError`` for any name
+    that is not a field.  The generated ``__init__`` sets fields through
+    ``object``, so it keeps its speed, and then runs ``__post_init__``."""
     cls = dataclass(frozen=True, eq=False, repr=False, slots=True)(cls)
     del cls.__setattr__, cls.__delattr__
+    cls._layout = tuple((field.name, field.type) for field in fields(cls))
     return cls
 
 
@@ -148,10 +162,6 @@ class Abs(_Node):
 
     _tag = -1
 
-    def __post_init__(self) -> None:
-        if self.body.__class__ not in _TERMS:
-            raise _sort_error(self)
-
     def _children(self) -> tuple:
         return (self.body,)
 
@@ -164,10 +174,6 @@ class App(_Node):
     arg: Term
 
     _tag = -2
-
-    def __post_init__(self) -> None:
-        if self.fun.__class__ not in _TERMS or self.arg.__class__ not in _TERMS:
-            raise _sort_error(self)
 
     def _children(self) -> tuple:
         return (self.fun, self.arg)
@@ -182,10 +188,6 @@ class Closure(_Node):
 
     _tag = -3
 
-    def __post_init__(self) -> None:
-        if self.body.__class__ not in _TERMS or self.sub.__class__ not in _SUBSTS:
-            raise _sort_error(self)
-
     def _children(self) -> tuple:
         return (self.body, self.sub)
 
@@ -198,10 +200,6 @@ class Slash(_Node):
 
     _tag = -4
 
-    def __post_init__(self) -> None:
-        if self.term.__class__ not in _TERMS:
-            raise _sort_error(self)
-
     def _children(self) -> tuple:
         return (self.term,)
 
@@ -213,10 +211,6 @@ class Lift(_Node):
     sub: Subst
 
     _tag = -5
-
-    def __post_init__(self) -> None:
-        if self.sub.__class__ not in _SUBSTS:
-            raise _sort_error(self)
 
     def _children(self) -> tuple:
         return (self.sub,)
@@ -239,18 +233,9 @@ Subst = Slash | Lift | Shift
 Node = Term | Subst
 
 _TERMS, _SUBSTS = frozenset(Term.__args__), frozenset(Subst.__args__)
-#: Each sort, keyed by the field annotation that names it: its classes and its name.
-_SORTS = {"Term": (_TERMS, "a term"), "Subst": (_SUBSTS, "a substitution")}
-
-
-def _sort_error(node) -> TypeError:
-    """The error for the first child of ``node`` not of its field's sort."""
-    for field in fields(node):
-        child = getattr(node, field.name)
-        classes, name = _SORTS[field.type]
-        if child.__class__ not in classes:
-            kind = node.__class__.__name__
-            return TypeError(f"{kind} {field.name} must be {name}, not {child!r}")
+#: Each sort, keyed by the annotation that names it: its classes and its name.
+_SORTS = {"Term": (_TERMS, "a term"), "Subst": (_SUBSTS, "a substitution"),
+          "Node": (_TERMS | _SUBSTS, "a lambda-upsilon node")}
 
 
 def _factory(cls):
@@ -259,7 +244,7 @@ def _factory(cls):
     Its callers pass children of the right sorts, and ``_index`` a
     non-negative int."""
     new = object.__new__
-    setters = [getattr(cls, field.name).__set__ for field in fields(cls)]
+    setters = [getattr(cls, name).__set__ for name, _ in cls._layout]
     if len(setters) == 1:
         (set_a,) = setters
 
@@ -286,29 +271,20 @@ _FACTORIES = {Abs: _abs, App: _app, Closure: _closure, Slash: _slash, Lift: _lif
 Position = tuple[int, ...]
 
 
-def _not_a_node(node) -> TypeError:
-    """The error for a value that is not a node at all."""
-    return TypeError(f"not a lambda-upsilon node: {node!r}")
-
-
 def _of_sort(value, sort: str):
     """``value``, the root of an argument, if it is a node of ``sort``
-    (``"Term"`` or ``"Subst"``); else TypeError, which names the sort for
-    a node of the other one."""
+    (``"Term"``, ``"Subst"`` or ``"Node"``); else TypeError, which names
+    the sort for a node and says that anything else is no node."""
     classes, name = _SORTS[sort]
     if value.__class__ in classes:
         return value
-    if value.__class__ in _TERMS or value.__class__ in _SUBSTS:
-        raise TypeError(f"not {name}: {value!r}")
-    raise _not_a_node(value)
+    nodes, no_node = _SORTS["Node"]
+    raise TypeError(f"not {name if value.__class__ in nodes else no_node}: {value!r}")
 
 
 def children(node: Node) -> tuple[Node, ...]:
     """Children of a node in canonical order; raises TypeError for a non-node."""
-    try:
-        return node._children()
-    except AttributeError:
-        raise _not_a_node(node) from None
+    return _of_sort(node, "Node")._children()
 
 
 def with_child(node: Node, ordinal: int, child: Node) -> Node:
@@ -330,17 +306,18 @@ def _with_child(node: Node, ordinal: int, child: Node) -> Node:
 
 
 def _nodes(term: Node):
-    """Yield every node of ``term`` once, checked by ``children``, in no set order."""
+    """Yield every node of ``term`` once, in no set order; the caller checks the root."""
     stack = [term]
     while stack:
         node = stack.pop()
-        stack += children(node)
+        stack += node._children()
         yield node
 
 
 def size(term: Node) -> int:
     """Constructor count of a term or a substitution; ``size(Index(n)) == n + 1``."""
-    return sum(node.n + 1 if node.__class__ is Index else 1 for node in _nodes(term))
+    nodes = _nodes(_of_sort(term, "Node"))
+    return sum(node.n + 1 if node.__class__ is Index else 1 for node in nodes)
 
 
 def size_sub(sub: Subst) -> int:
@@ -354,12 +331,17 @@ def is_pure(term: Term) -> bool:
 
 
 def iter_subterms(term: Term):
-    """Yield ``(position, node)`` pairs in pre-order.
+    """Iterate ``(position, node)`` pairs in pre-order, the root checked at the call.
 
     Pre-order means node before children, fun before arg, body before sub;
     substitution nodes are included.
     """
-    stack: list[tuple[Position, Node]] = [((), _of_sort(term, "Term"))]
+    return _preorder(_of_sort(term, "Term"))
+
+
+def _preorder(term: Term):
+    """``iter_subterms``'s generator, over a checked root."""
+    stack: list[tuple[Position, Node]] = [((), term)]
     while stack:
         pos, node = stack.pop()
         yield pos, node

@@ -41,7 +41,7 @@ from typing import Optional
 
 from . import _int, _member
 from .terms import SHIFT, Abs, App, Index, Lift, Shift, Term, _Node, _node_class
-from .terms import _abs, _app, _closure, _factory, _index, _lift, _of_sort, _slash
+from .terms import _SORTS, _abs, _app, _closure, _factory, _index, _lift, _of_sort, _slash
 
 
 class InvalidSize(ValueError):
@@ -56,11 +56,6 @@ class BinTree(_Node):
     left: Optional["BinTree"] = None
     right: Optional["BinTree"] = None
 
-    def __post_init__(self) -> None:
-        for name, child in (("left", self.left), ("right", self.right)):
-            if child is not None and child.__class__ is not BinTree:
-                raise TypeError(f"BinTree {name} must be a BinTree or None, not {child!r}")
-
     def _code(self) -> list[int]:
         return _shape(self)
 
@@ -72,6 +67,7 @@ class BinTree(_Node):
     __hash__ = _Node.__hash__
 
 
+_SORTS["Optional['BinTree']"] = (frozenset({BinTree, type(None)}), "a BinTree or None")
 LEAF = BinTree()
 _bintree = _factory(BinTree)  # unchecked: for children that are skeletons or None
 

@@ -51,6 +51,7 @@ from lamupsilon import (
     replace_at,
     run_experiment,
     sample_term,
+    size,
     size_sub,
     solve_core_series,
     solve_restricted_series,
@@ -299,12 +300,13 @@ ROOTS = {
     ("param_value", "term"): ("Term", lambda x: param_value(x, ParamKind.BETA)),
     ("apply_at", "term"): ("Term", lambda x: apply_at(x, Redex((), RuleKind.BETA))),
     ("is_pure", "term"): ("Term", is_pure),
-    ("iter_subterms", "term"): ("Term", lambda x: list(iter_subterms(x))),
+    ("iter_subterms", "term"): ("Term", iter_subterms),  # checked at the call
     ("subterm_at", "term"): ("Term", lambda x: subterm_at(x, ())),
     ("replace_at", "term"): ("Term", lambda x: replace_at(x, (), Index(1))),
     ("replace_at", "replacement"): ("Term", lambda x: replace_at(_TERM, (), x)),
     ("render_term", "term"): ("Term", render_term),
     ("phi_inv", "term"): ("Term", phi_inv),
+    ("size", "term"): ("Node", size),
     ("size_sub", "sub"): ("Subst", size_sub),
     ("render_subst", "sub"): ("Subst", render_subst),
     ("phi", "tree"): ("BinTree", phi),
@@ -313,12 +315,14 @@ ROOTS = {
 }
 
 #: Roots that no entry of a sort takes, each with the start of its error: a
-#: node of the other sort, then values that are no node at all.
+#: node of the other sort, then values that are no node at all.  ``Node`` is
+#: either sort, so only the values that are no node are wrong for it.
 _NO_NODE = [(x, "not a lambda-upsilon node: ") for x in (object(), None, BinTree())]
 _WRONG_ROOTS = {
     "Term": [(SHIFT, "not a term: "), (Slash(Index(0)), "not a term: "), *_NO_NODE],
     "Subst": [(Index(0), "not a substitution: "), (Abs(Index(0)), "not a substitution: "),
               *_NO_NODE],
+    "Node": _NO_NODE,
     "BinTree": [(x, "not a BinTree: ") for x in (Index(0), SHIFT, object(), None)],
 }
 
@@ -345,7 +349,6 @@ def test_the_root_table_lists_every_term_subst_and_skeleton_parameter():
     # test_skeleton_children_must_be_skeletons cover.
     exempt = {
         ("match_redex", "term"): "a predicate: None off the redexes, whatever the value",
-        ("size", "term"): "takes either sort, as size_sub is its alias",
     }
     mentions = re.compile(r"\b(Term|Subst|Node|BinTree)\b")
     found = set()
@@ -369,3 +372,16 @@ def test_the_root_table_lists_every_term_subst_and_skeleton_parameter():
                     found.add((entry, parameter.name))
     assert {("replace_at", "replacement"), ("render_subst", "sub"), ("phi", "tree")} <= found
     assert found == ROOTS.keys() | exempt.keys(), sorted(found ^ (ROOTS.keys() | exempt.keys()))
+
+
+def test_index_is_the_only_node_class_with_its_own_post_init():
+    # every other term, substitution and skeleton class checks its children
+    # in _Node.__post_init__, which reads each sort from the one table
+    # terms._SORTS; a check of its own would state a sort a second time
+    from lamupsilon.terms import _Node
+
+    objects = [getattr(lamupsilon, name) for name in lamupsilon.__all__]
+    classes = [obj for obj in objects if inspect.isclass(obj) and issubclass(obj, _Node)]
+    assert {cls.__name__ for cls in classes} == {
+        "Abs", "App", "BinTree", "Closure", "Index", "Lift", "Shift", "Slash"}
+    assert [cls.__name__ for cls in classes if "__post_init__" in vars(cls)] == ["Index"]

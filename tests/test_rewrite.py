@@ -268,6 +268,19 @@ def test_trace_json_format():
         trace_to_json(trace)
 
 
+def test_records_that_are_not_records_raise_type_error():
+    # apply_at read redex.position and trace_to_json trace.steps unchecked,
+    # so a tuple or None leaked an AttributeError
+    t = App(Abs(Index(0)), Index(0))
+    for x in (((), RuleKind.BETA), None, object()):
+        with pytest.raises(TypeError) as raised:
+            apply_at(t, x)
+        assert str(raised.value) == f"not a Redex: {x!r}"
+        with pytest.raises(TypeError) as raised:
+            trace_to_json(x)
+        assert str(raised.value) == f"not a Trace: {x!r}"
+
+
 def test_engine_matches_naive_rescan_exhaustively():
     for n in range(1, 7):
         for t in enumerate_terms(n):

@@ -256,6 +256,32 @@ def test_import_rejects_anything_but_an_array_of_summaries(text):
         import_summaries(text)
 
 
+#: A value of the wrong type for each SampleSummary field, as JSON holds it.
+_WRONG_FIELDS = [
+    ("param", 1), ("param", None), ("size", "x"), ("size", 7.0), ("size", True),
+    ("samples", "40"), ("samples", 40.0), ("seed", None), ("seed", False),
+    ("mean", True), ("mean", "0.5"), ("variance", None), ("variance", [1]),
+    ("min", 0.0), ("min", "0"), ("max", True), ("max", {}),
+    ("third_central_moment", False), ("third_central_moment", "0"),
+]
+
+
+def test_import_rejects_field_values_of_the_wrong_type():
+    # "size": "x" was accepted and failed later, inside standard_error
+    res = run_experiment(7, 40, 2, [ParamKind.BETA])
+    buf = io.StringIO()
+    export_report(list(res.values()), "json", buf)
+    assert import_summaries(buf.getvalue()) == list(res.values())  # the round trip is exact
+    (row,) = json.loads(buf.getvalue())
+    assert {name for name, _ in _WRONG_FIELDS} == set(SampleSummary.__dataclass_fields__)
+    for name, value in _WRONG_FIELDS:
+        with pytest.raises(ValueError, match=f"^SampleSummary {name} must be "):
+            import_summaries(json.dumps([{**row, name: value}]))
+    # a float field takes a whole number, as another JSON writer may write it
+    whole = {**row, "mean": 1, "variance": 0, "third_central_moment": 0}
+    assert import_summaries(json.dumps([whole]))[0].mean == 1
+
+
 def test_json_export_embeds_comparisons():
     res = run_experiment(7, 40, 2, [ParamKind.BETA])
     report = compare_to_reference(
