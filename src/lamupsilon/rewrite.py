@@ -15,7 +15,7 @@ identical to "rescan from the root, fire the first enabled redex"
 (leftmost-outermost).  Closures stack, so a step often makes its parent a
 redex: that rule fires from the new subtree and the parent's other child,
 without rebuilding the parent, and so on up.  A parent that is not a redex
-stays stale until the walk climbs back through it or ``_snapshot`` needs
+stays stale until the walk climbs back through it or ``_rebuild`` needs
 the whole term.  A step costs its redex's depth: it copies the position,
 and with ``keep_terms`` rebuilds the path to the root.
 """
@@ -47,12 +47,12 @@ from .terms import (
     _lift,
     _nodes,
     _of_sort,
+    _rebuild,
     _slash,
+    _walk,
     _with_child,
     is_pure,
-    replace_at,
     size,
-    subterm_at,
 )
 
 
@@ -167,18 +167,21 @@ def apply_at(term: Term, redex: Redex) -> Term:
     """Apply ``redex`` to ``term``; raises InvalidRedex on mismatch."""
     _member(Redex, redex)
     try:
-        node = subterm_at(term, redex.position)
+        *spine, node = _walk(term, redex.position)
     except ValueError:
         raise InvalidRedex(f"no node at position {redex.position!r}") from None
-    return replace_at(term, redex.position, rewrite_root(node, redex.kind))
+    return _rebuild(spine, redex.position, rewrite_root(node, redex.kind))
 
 
 def find_redexes(term: Term, kinds: Optional[Iterable[RuleKind]] = None) -> list[Redex]:
-    """All redexes whose kind is in ``kinds`` (default: all), in pre-order.
+    """All redexes whose kind is in ``kinds`` (default: all; a bare string
+    raises TypeError), in pre-order.
 
     The walk keeps one path of child ordinals and copies it only for a
     redex, so a call costs the size of the term plus the depth of each
     redex found, not the depth of every node."""
+    if isinstance(kinds, str):
+        raise TypeError(f"kinds must be a list of RuleKind members, not {kinds!r}")
     wanted = ALL_RULES if kinds is None else frozenset(_member(RuleKind, kind) for kind in kinds)
     found, path, stack = [], [], [(_of_sort(term, "Term"), 0, 0)]  # (node, depth, ordinal)
     while stack:
@@ -220,15 +223,6 @@ def _bound(name: str, value: Optional[int], default: Optional[int]) -> Optional[
     return value
 
 
-def _snapshot(parents: list[Term], ordinals: list[int], focus: Term) -> Term:
-    """Current whole term; repairs stale ``parents`` in place."""
-    for depth in range(len(parents) - 1, -1, -1):
-        if parents[depth]._children()[ordinals[depth]] is not focus:
-            parents[depth] = _with_child(parents[depth], ordinals[depth], focus)
-        focus = parents[depth]
-    return focus
-
-
 def normalize(
     term: Term,
     strategy: str = "full",
@@ -265,12 +259,12 @@ def normalize(
                 redex = focus._children()
                 while kind is not None:
                     if max_steps is not None and len(steps) >= max_steps:
-                        whole = _snapshot(parents, ordinals, focus)
+                        whole = _rebuild(parents, ordinals, focus)
                         raise BudgetExceeded(whole, Trace(tuple(steps)))
                     if redex[0] is focus:  # the redex is the focus's stale parent
                         del parents[-1], ordinals[-1]
                     focus = _RIGHT_HAND_SIDE[kind](*redex)
-                    after = _snapshot(parents, ordinals, focus) if keep_terms else None
+                    after = _rebuild(parents, ordinals, focus) if keep_terms else None
                     # tuple.__new__ skips the named tuple's own Python-level __new__
                     steps.append(tuple.__new__(TraceStep, (kind, tuple(ordinals), after)))
                     # Outside the new subtree only the parent's redex status can

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from . import _int
+from . import _int, _member
 from .rewrite import count_all_redexes, has_nested_substitution, unsuspended_constructors
 from .series import ParamKind, expected_param_exact, nested_free_fraction
 from .trees import InvalidSize, Rng, sample_term
@@ -222,12 +222,12 @@ def run_experiment(
 
 def standard_error(summary: SampleSummary) -> float:
     """Standard error of the sample mean."""
-    return math.sqrt(summary.variance / summary.samples)
+    return math.sqrt(_member(SampleSummary, summary).variance / summary.samples)
 
 
 def standardized_skewness(summary: SampleSummary) -> float:
     """Third central moment over variance^(3/2)."""
-    if summary.variance == 0:
+    if _member(SampleSummary, summary).variance == 0:
         return 0.0
     return summary.third_central_moment / summary.variance**1.5
 
@@ -236,7 +236,8 @@ def compare_to_reference(
     summary: SampleSummary, reference: float, tolerance: Tolerance
 ) -> ComparisonReport:
     """Check the empirical mean against a reference value."""
-    observed = summary.mean
+    observed = _member(SampleSummary, summary).mean
+    _member(Tolerance, tolerance)
     abs_err = abs(observed - reference)
     rel_err = abs_err / abs(reference) if reference else math.inf
     se = standard_error(summary)
@@ -303,7 +304,7 @@ def export_report(
     ``rel_err`` (a zero reference) written as null; CSV uses the fixed
     schema ``param,n,m,seed,mean,variance,min,max,m3``.
     """
-    results = list(results)
+    results = [_member(SampleSummary, s) for s in results]
     if not results:
         raise ValueError("nothing to export")
     if format == "csv":
@@ -350,8 +351,10 @@ _JSON_TYPES = {"str": ((str,), "a string"), "int": ((int,), "an integer"),
 def import_summaries(text: str) -> list[SampleSummary]:
     """Parse summaries back from the JSON export format.  Raises ValueError
     unless ``text`` is a JSON array of objects that each hold every
-    SampleSummary field, with a value of the field's type; other keys,
-    such as ``comparisons``, are ignored."""
+    SampleSummary field, with a value of the field's type, as
+    ``export_report`` writes it: a known ``param``, finite numbers, at least
+    two ``samples`` and no negative ``variance``.  Other keys, such as
+    ``comparisons``, are ignored."""
     rows = json.loads(text)
     fields = SampleSummary.__dataclass_fields__
     if rows.__class__ is not list or not all(
@@ -363,4 +366,10 @@ def import_summaries(text: str) -> list[SampleSummary]:
             classes, what = _JSON_TYPES[field.type]
             if row[name].__class__ not in classes:
                 raise ValueError(f"SampleSummary {name} must be {what}, not {row[name]!r}")
+            if row[name].__class__ is float and not math.isfinite(row[name]):
+                raise ValueError(f"SampleSummary {name} must be finite, not {row[name]!r}")
+        for name, least in (("samples", 2), ("variance", 0)):
+            if row[name] < least:
+                raise ValueError(f"SampleSummary {name} must be at least {least}, not {row[name]}")
+        _param_name(row["param"])
     return [SampleSummary(**{k: row[k] for k in fields}) for row in rows]

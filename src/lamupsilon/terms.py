@@ -44,6 +44,8 @@ factories (``_index``, ``_abs``, ``_app``, ``_closure``, ``_slash``,
 ``_lift``) and ``_with_child`` check nothing: they serve the rewriter,
 the parser and the sampler, which build well-sorted nodes by
 construction, at about a third of the public constructor's cost.
+Every edit at a position walks its path once, and ``_rebuild`` puts the new
+node back: it rebuilds unchecked each parent whose child changed, in the path.
 """
 
 from __future__ import annotations
@@ -368,6 +370,15 @@ def subterm_at(term: Term, position: Position) -> Node:
     return _walk(term, position)[-1]
 
 
+def _rebuild(spine: list[Node], ordinals: Position, node: Node) -> Node:
+    """The root above ``node`` on the path ``spine``, ``ordinals``; stale parents are rebuilt."""
+    for depth in range(len(spine) - 1, -1, -1):
+        if spine[depth]._children()[ordinals[depth]] is not node:
+            spine[depth] = _with_child(spine[depth], ordinals[depth], node)
+        node = spine[depth]
+    return node
+
+
 def replace_at(term: Term, position: Position, replacement: Node) -> Term:
     """Copy of ``term`` with the node at ``position`` replaced; TypeError if
     ``replacement`` does not have the sort of its slot."""
@@ -375,6 +386,4 @@ def replace_at(term: Term, position: Position, replacement: Node) -> Term:
     if not position:
         return _of_sort(replacement, "Term")
     new = with_child(spine[-1], position[-1], replacement)  # the one check
-    for ordinal, parent in zip(reversed(position[:-1]), reversed(spine[:-1])):
-        new = _with_child(parent, ordinal, new)
-    return new
+    return _rebuild(spine[:-1], position, new)

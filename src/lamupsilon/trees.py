@@ -325,6 +325,7 @@ def remy_tree(n: int, rng: Rng) -> BinTree:
     """
     if _int("n", n) < 1:
         raise InvalidSize("there is no tree with zero nodes")
+    _member(Rng, rng)
     left, right, parent = _grafting_arrays(n)
     root = 0
     for k in range(1, n + 1):
@@ -374,7 +375,7 @@ def sample_term(n: int, rng: Rng) -> Term:
         raise InvalidSize("there is no term of size zero")
     left, right, parent = _grafting_arrays(n)
     root = 0
-    state = rng._state
+    state = _member(Rng, rng)._state
     safe = (1 << 64) - 2 * n
     words = itertools.chain.from_iterable(_batches(state, 2 * n))
     used = 2 * n

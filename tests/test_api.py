@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import inspect
+import io
 import os
 import pickle
 import re
@@ -22,10 +23,14 @@ from lamupsilon import (
     Redex,
     Rng,
     RuleKind,
+    SampleSummary,
     Series,
     Slash,
+    Tolerance,
+    Trace,
     apply_at,
     catalan,
+    compare_to_reference,
     count_all_redexes,
     count_redexes,
     count_substs,
@@ -34,6 +39,7 @@ from lamupsilon import (
     enumerate_terms,
     enumerate_trees,
     expected_param_exact,
+    export_report,
     find_redexes,
     has_nested_substitution,
     is_pure,
@@ -55,8 +61,11 @@ from lamupsilon import (
     size_sub,
     solve_core_series,
     solve_restricted_series,
+    standard_error,
+    standardized_skewness,
     subterm_at,
     total_param_bruteforce,
+    trace_to_json,
     tree_to_json,
     unsuspended_constructors,
 )
@@ -341,16 +350,10 @@ def test_roots_of_the_wrong_sort_raise_type_error(entry):
         assert str(raised.value) == message + repr(x), (entry, x)
 
 
-def test_the_root_table_lists_every_term_subst_and_skeleton_parameter():
-    # a new public parameter annotated with a sort or a skeleton has to join
-    # ROOTS or name its reason here, so it cannot skip the root check
-    # unnoticed.  A class counts by its public methods: a constructor takes
-    # children, which test_ill_sorted_children_raise_type_error and
-    # test_skeleton_children_must_be_skeletons cover.
-    exempt = {
-        ("match_redex", "term"): "a predicate: None off the redexes, whatever the value",
-    }
-    mentions = re.compile(r"\b(Term|Subst|Node|BinTree)\b")
+def _annotated_parameters(*names: str) -> set:
+    """(entry point, parameter) of each public parameter whose annotation
+    names one of ``names``; a class counts by its public methods."""
+    mentions = re.compile(rf"\b({'|'.join(names)})\b")
     found = set()
     for name in lamupsilon.__all__:
         obj = getattr(lamupsilon, name)
@@ -370,6 +373,19 @@ def test_the_root_table_lists_every_term_subst_and_skeleton_parameter():
             for parameter in inspect.signature(function).parameters.values():
                 if mentions.search(str(parameter.annotation)):
                     found.add((entry, parameter.name))
+    return found
+
+
+def test_the_root_table_lists_every_term_subst_and_skeleton_parameter():
+    # a new public parameter annotated with a sort or a skeleton has to join
+    # ROOTS or name its reason here, so it cannot skip the root check
+    # unnoticed.  A class counts by its public methods: a constructor takes
+    # children, which test_ill_sorted_children_raise_type_error and
+    # test_skeleton_children_must_be_skeletons cover.
+    exempt = {
+        ("match_redex", "term"): "a predicate: None off the redexes, whatever the value",
+    }
+    found = _annotated_parameters("Term", "Subst", "Node", "BinTree")
     assert {("replace_at", "replacement"), ("render_subst", "sub"), ("phi", "tree")} <= found
     assert found == ROOTS.keys() | exempt.keys(), sorted(found ^ (ROOTS.keys() | exempt.keys()))
 
@@ -385,3 +401,47 @@ def test_index_is_the_only_node_class_with_its_own_post_init():
     assert {cls.__name__ for cls in classes} == {
         "Abs", "App", "BinTree", "Closure", "Index", "Lift", "Shift", "Slash"}
     assert [cls.__name__ for cls in classes if "__post_init__" in vars(cls)] == ["Index"]
+
+
+_SUMMARY = SampleSummary("beta", 5, 10, 0, 0.5, 0.25, 0, 1, 0.0)
+
+#: Every public parameter that takes a record (a ``Rng``, ``Redex``,
+#: ``Trace``, ``SampleSummary`` or ``Tolerance``), keyed by (entry point,
+#: parameter), with its class and a call that puts ``x`` in that parameter
+#: (an item of it, for a sequence) and valid values elsewhere.
+RECORDS = {
+    ("sample_term", "rng"): (Rng, lambda x: sample_term(5, x)),
+    ("remy_tree", "rng"): (Rng, lambda x: remy_tree(5, x)),
+    ("apply_at", "redex"): (Redex, lambda x: apply_at(_TERM, x)),
+    ("trace_to_json", "trace"): (Trace, trace_to_json),
+    ("standard_error", "summary"): (SampleSummary, standard_error),
+    ("standardized_skewness", "summary"): (SampleSummary, standardized_skewness),
+    ("compare_to_reference", "summary"): (
+        SampleSummary, lambda x: compare_to_reference(x, 0.5, Tolerance("se", 3))
+    ),
+    ("compare_to_reference", "tolerance"): (
+        Tolerance, lambda x: compare_to_reference(_SUMMARY, 0.5, x)
+    ),
+    ("export_report", "results"): (
+        SampleSummary, lambda x: export_report([_SUMMARY, x], "json", io.StringIO())
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(RECORDS), ids="-".join)
+def test_records_that_are_not_records_raise_type_error(entry):
+    # each of these read the record's attributes unchecked, so a tuple, an
+    # int or None leaked an AttributeError
+    cls, call = RECORDS[entry]
+    for x in (((), RuleKind.BETA), 3, None, object()):
+        with pytest.raises(TypeError) as raised:
+            call(x)
+        assert str(raised.value) == f"not a {cls.__name__}: {x!r}", entry
+
+
+def test_the_record_table_lists_every_record_parameter():
+    # a new public parameter annotated with a record class has to join
+    # RECORDS, so it cannot skip the class check unnoticed
+    found = _annotated_parameters("Rng", "Redex", "Trace", "SampleSummary", "Tolerance")
+    assert {("sample_term", "rng"), ("export_report", "results")} <= found
+    assert found == RECORDS.keys(), sorted(found ^ RECORDS.keys())

@@ -159,6 +159,13 @@ def test_kinds_that_are_not_rule_kinds_raise_type_error():
     assert find_redexes(t, [RuleKind.BETA]) == [Redex((), RuleKind.BETA)]
 
 
+def test_a_bare_string_of_kinds_raises_type_error():
+    # a string was taken as an iterable of one-letter kinds: "not a RuleKind: 'B'"
+    with pytest.raises(TypeError) as raised:
+        find_redexes(parse_term("(\\0) 0"), "Beta")
+    assert str(raised.value) == "kinds must be a list of RuleKind members, not 'Beta'"
+
+
 def test_count_redexes_examples():
     assert count_redexes(App(Abs(Index(0)), Index(0)), RuleKind.BETA) == 1
     assert count_redexes(Abs(Closure(Index(0), Slash(Index(0)))), RuleKind.FVAR) == 1
@@ -266,19 +273,6 @@ def test_trace_json_format():
     _, trace = normalize(parse_term("0[0/]"), "upsilon", keep_terms=False)
     with pytest.raises(ValueError):
         trace_to_json(trace)
-
-
-def test_records_that_are_not_records_raise_type_error():
-    # apply_at read redex.position and trace_to_json trace.steps unchecked,
-    # so a tuple or None leaked an AttributeError
-    t = App(Abs(Index(0)), Index(0))
-    for x in (((), RuleKind.BETA), None, object()):
-        with pytest.raises(TypeError) as raised:
-            apply_at(t, x)
-        assert str(raised.value) == f"not a Redex: {x!r}"
-        with pytest.raises(TypeError) as raised:
-            trace_to_json(x)
-        assert str(raised.value) == f"not a Trace: {x!r}"
 
 
 def test_engine_matches_naive_rescan_exhaustively():
@@ -617,6 +611,29 @@ def test_upsilon_normal_forms_of_a_long_reduction(default_recursion_limit):
     # 1500 VarShift steps, one redex each
     forms = upsilon_normal_forms_all_orders(parse_term("0" + "[shift]" * 1500))
     assert forms == {Index(1500)}
+
+
+def test_apply_at_walks_once_and_builds_through_no_checked_constructor(monkeypatch):
+    # apply_at walked its path twice, as subterm_at and then replace_at, and
+    # rebuilt the redex's parent through the checked public constructor; the
+    # all-orders search builds every successor through it
+    from lamupsilon import terms
+    from lamupsilon.verify import upsilon_normal_forms_all_orders
+
+    t, want = parse_term("\\0 (1 0[0/])"), parse_term("\\0 (1 0)")
+    shifts, normal = parse_term("0" + "[shift]" * 30), Index(30)
+    walks, checks = [], []
+    walk = terms._walk
+    for module in (terms, rewrite):  # rewrite binds its own name, if it has one
+        monkeypatch.setattr(module, "_walk", lambda *a: walks.append(a) or walk(*a), raising=False)
+    for cls in (terms._Node, Index):
+        check = cls.__post_init__
+        counting = lambda self, check=check: checks.append(self) or check(self)  # noqa: E731
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    assert apply_at(t, Redex((0, 1, 1), RuleKind.FVAR)) == want
+    assert walks == [(t, (0, 1, 1))] and checks == []
+    assert upsilon_normal_forms_all_orders(shifts) == {normal}
+    assert checks == []
 
 
 def test_upsilon_confluence_small_scope():

@@ -282,6 +282,55 @@ def test_import_rejects_field_values_of_the_wrong_type():
     assert import_summaries(json.dumps([whole]))[0].mean == 1
 
 
+def _exported_row():
+    """The one JSON object that ``export_report`` writes for a small run."""
+    res = run_experiment(7, 40, 2, [ParamKind.BETA])
+    buf = io.StringIO()
+    export_report(list(res.values()), "json", buf)
+    assert import_summaries(buf.getvalue()) == list(res.values())  # the round trip is exact
+    (row,) = json.loads(buf.getvalue())
+    return row
+
+
+@pytest.mark.parametrize("name", ["mean", "variance", "third_central_moment"])
+def test_import_rejects_numbers_that_are_not_finite(name):
+    # json.loads parses NaN and Infinity, which export_report never writes
+    row = _exported_row()
+    for value in (math.nan, math.inf, -math.inf):
+        text = json.dumps([{**row, name: value}])
+        with pytest.raises(ValueError) as raised:
+            import_summaries(text)
+        assert str(raised.value) == f"SampleSummary {name} must be finite, not {value!r}"
+
+
+def test_import_rejects_fewer_than_two_samples():
+    # standard_error then divided by zero, and a run never has fewer than two
+    row = _exported_row()
+    for samples in (1, 0, -3):
+        with pytest.raises(ValueError) as raised:
+            import_summaries(json.dumps([{**row, "samples": samples}]))
+        assert str(raised.value) == f"SampleSummary samples must be at least 2, not {samples}"
+    assert import_summaries(json.dumps([{**row, "samples": 2}]))[0].samples == 2
+
+
+def test_import_rejects_a_negative_variance():
+    # standard_error then failed with "math domain error"
+    row = _exported_row()
+    with pytest.raises(ValueError) as raised:
+        import_summaries(json.dumps([{**row, "variance": -0.5}]))
+    assert str(raised.value) == "SampleSummary variance must be at least 0, not -0.5"
+    assert import_summaries(json.dumps([{**row, "variance": 0}]))[0].variance == 0
+
+
+def test_import_rejects_an_unknown_parameter():
+    row = _exported_row()
+    with pytest.raises(ValueError) as raised:
+        import_summaries(json.dumps([{**row, "param": "bogus"}]))
+    assert str(raised.value) == "unknown parameter 'bogus'"
+    for param in (NESTED, "unsuspended"):
+        assert import_summaries(json.dumps([{**row, "param": param}]))[0].param == param
+
+
 def test_json_export_embeds_comparisons():
     res = run_experiment(7, 40, 2, [ParamKind.BETA])
     report = compare_to_reference(
