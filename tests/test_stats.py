@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -22,6 +23,7 @@ from lamupsilon import (
     count_terms,
     enumerate_terms,
     expected_param_exact,
+    has_nested_substitution,
     export_report,
     import_summaries,
     param_value,
@@ -33,7 +35,9 @@ from lamupsilon import (
     total_param_bruteforce,
     unsuspended_constructors,
 )
-from lamupsilon.stats import LIMIT_MEAN_SLOPE, LIMIT_VARIANCE_SLOPE, round12
+from lamupsilon.stats import LIMIT_MEAN_SLOPE, LIMIT_VARIANCE_SLOPE, _sample_values, round12
+
+ALL_PARAMS = [*ParamKind, NESTED]
 
 
 def test_size_one_terms_have_no_beta_redexes():
@@ -73,6 +77,40 @@ def test_experiment_is_worker_count_independent(monkeypatch):
     forked = run_experiment(10, 48, 7, [ParamKind.BETA, NESTED], workers=2)
     assert pools == [{"max_workers": 2}]
     assert serial == forked
+
+
+# SHA-256 of the JSON export of run_experiment(1000, 50, seed, ALL_PARAMS),
+# as the term walkers computed it
+EXPORT_DIGESTS = {
+    0: "6efba591ed4f2db463a562e988db0ccfbd02bb8dcdb1b4babe0175bf1bfedede",
+    1: "ddef93c3e8cf87163037f911162632c750bfad0096dd3a9b496fbb0471583423",
+    27: "89f03749f57b748d9b081e34cb1a6cfdcca8a8baa2ffbf2b3f2dac86691aee56",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(EXPORT_DIGESTS))
+def test_experiment_export_digest_is_pinned(seed):
+    buf = io.StringIO()
+    export_report(list(run_experiment(1000, 50, seed, ALL_PARAMS).values()), "json", buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == EXPORT_DIGESTS[seed]
+
+
+def _walked_values(term) -> tuple[int, ...]:
+    """The ALL_PARAMS values of ``term`` from the three public term walkers."""
+    redexes = count_all_redexes(term)
+    return (
+        *(redexes[param.rule_kind] for param in ParamKind if param.rule_kind),
+        unsuspended_constructors(term),
+        int(has_nested_substitution(term)),
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 1000])
+def test_sample_values_match_the_term_walkers(n):
+    names = (*(param.value for param in ParamKind), NESTED)
+    for seed in (0, 5):
+        rows = _sample_values(n, seed, 3, 23, names)
+        assert rows == [_walked_values(sample_term(n, Rng.derived(seed, i))) for i in range(3, 23)]
 
 
 def test_import_leaves_the_process_pool_unloaded():
