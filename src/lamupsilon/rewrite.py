@@ -175,12 +175,12 @@ def apply_at(term: Term, redex: Redex) -> Term:
 
 def find_redexes(term: Term, kinds: Optional[Iterable[RuleKind]] = None) -> list[Redex]:
     """All redexes whose kind is in ``kinds`` (default: all; a bare string
-    raises TypeError), in pre-order.
+    or a lone ``RuleKind`` raises TypeError), in pre-order.
 
     The walk keeps one path of child ordinals and copies it only for a
     redex, so a call costs the size of the term plus the depth of each
     redex found, not the depth of every node."""
-    if isinstance(kinds, str):
+    if isinstance(kinds, (str, RuleKind)):
         raise TypeError(f"kinds must be a list of RuleKind members, not {kinds!r}")
     wanted = ALL_RULES if kinds is None else frozenset(_member(RuleKind, kind) for kind in kinds)
     found, path, stack = [], [], [(_of_sort(term, "Term"), 0, 0)]  # (node, depth, ordinal)

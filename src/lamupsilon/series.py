@@ -288,7 +288,13 @@ def param_value(term: Term, param: ParamKind) -> int:
 def _marked_totals(one, z, t, s) -> dict:
     """Every parameter's total generating function, over any ring with
     + - * / holding one, z and the counting series T, S: ``Series`` here,
-    the field of ``tools/derive_recurrences.py`` there.
+    the field of ``tools/derive_recurrences.py`` there.  Each is the
+    quotient of its ``_marks`` pair."""
+    return {param: mark / den for param, (mark, den) in _marks(one, z, t, s).items()}
+
+
+def _marks(one, z, t, s) -> dict:
+    """Every parameter's total generating function as a (mark, den) pair.
 
     Marking one redex kind with u adds (u - 1) M(z, T, S) to the system
     T = z/(1-z) + zT + zT^2 + zTS, S = zT + zS + z; the u-derivative at
@@ -310,10 +316,10 @@ def _marked_totals(one, z, t, s) -> dict:
         ParamKind.RVARLIFT: z3 * z * s_geo,
         ParamKind.VARSHIFT: z3 / (one - z),
     }
-    totals = {param: mark / den for param, mark in marks.items()}
+    pairs = {param: (mark, den) for param, mark in marks.items()}
     unsuspended = z / ((one - z) * (one - z)) + zt + z * tt + z * ts
-    totals[ParamKind.UNSUSPENDED] = unsuspended / (one - z - zt - zt - z * s)
-    return totals
+    pairs[ParamKind.UNSUSPENDED] = (unsuspended, one - z - zt - zt - z * s)
+    return pairs
 
 
 def _expectation_totals(order: int) -> dict[ParamKind, Series]:

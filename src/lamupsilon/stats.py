@@ -6,6 +6,14 @@ counts produce bit-identical summaries.  Moments are exact integer sums,
 taken once over all sample values and only divided at the end; the stored
 decimals are rounded to 12 significant digits, which also makes
 export/import round-trips exact.
+
+An experiment builds no term: ``_plan_values`` reads every parameter of a
+sample in one bottom-up pass over the sampler's plan
+(``trees._sample_plan``), the list ``trees._fold`` would build the term
+from.  ``count_all_redexes``, ``unsuspended_constructors`` and
+``has_nested_substitution`` on ``sample_term``'s term stay public as the
+oracle it is tested against, and closures are classified by the
+rewriter's own ``_closure_rule``.
 """
 
 from __future__ import annotations
@@ -14,15 +22,18 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
 from . import _int, _member
-from .rewrite import count_all_redexes, has_nested_substitution, unsuspended_constructors
+from .rewrite import RuleKind, _closure_rule
 from .series import ParamKind, expected_param_exact, nested_free_fraction
-from .trees import InvalidSize, Rng, sample_term
+from .terms import SHIFT, Abs, App, Closure, Index, Lift, Slash
+from .trees import InvalidSize, Rng, _sample_plan
 
 #: Extra experiment parameter: 0/1 indicator of a nested substitution.
 NESTED = "nested"
@@ -55,7 +66,7 @@ LIMIT_VARIANCE_SLOPE = {
     ParamKind.FVAR: Fraction(729, 65536),
     ParamKind.FVARLIFT: Fraction(241, 32768),
     ParamKind.RVAR: Fraction(249, 65536),
-    ParamKind.RVARLIFT: Fraction(377, 147456),
+    ParamKind.RVARLIFT: Fraction(2243, 884736),
 }
 
 #: Limit of the expected number of unsuspended constructors.
@@ -117,30 +128,66 @@ def _param_name(param: ParamName) -> str:
         raise ValueError(f"unknown parameter {param!r}") from None
 
 
-def _evaluate(term, columns: list) -> tuple[int, ...]:
-    """The values of ``columns`` on ``term``: ``NESTED``, the name of
-    ``ParamKind.UNSUSPENDED``, or the ``RuleKind`` a redex count counts."""
-    redexes = None
-    values = []
-    for column in columns:
-        if column == NESTED:
-            values.append(1 if has_nested_substitution(term) else 0)
-        elif column == ParamKind.UNSUSPENDED.value:
-            values.append(unsuspended_constructors(term))
-        else:
-            if redexes is None:
-                redexes = count_all_redexes(term)
-            values.append(redexes[column])
-    return tuple(values)
+#: Stand-ins for a closure's body and substitution: ``_closure_rule`` reads
+#: their class, and an index body's value, as it reads the nodes they stand for.
+_ABS, _APP, _CLOSURE = Abs(Index(0)), App(Index(0), Index(0)), Closure(Index(0), SHIFT)
+_SLASH, _LIFT = Slash(Index(0)), Lift(SHIFT)
+_index_stand_in = lru_cache(maxsize=None)(Index)  # one node per index value
+
+
+def _plan_values(plan: list[tuple[int, int]]) -> dict:
+    """The values of the term ``trees._fold(plan)`` without building it:
+    each ``RuleKind``'s redex count, and under ``NESTED`` and the name of
+    ``ParamKind.UNSUSPENDED`` the 0/1 nested flag and the unsuspended count.
+
+    Bottom-up like ``_fold``, it keeps per subtree a record (stand-in,
+    purity, unsuspended count) in place of the node: the stand-in is an
+    index of the same value, ``_ABS``, ``_APP`` or ``_CLOSURE``.  An
+    application of ``_ABS`` is a Beta redex, and ``_closure_rule``
+    classifies each closure from its body's stand-in and its
+    substitution's: ``SHIFT``, ``_SLASH``, or ``_LIFT`` under a chain of
+    two or more.  A slash whose payload is impure is a nested
+    substitution."""
+    counts = dict.fromkeys((*RuleKind, None), 0)  # None: a closure that is no redex
+    nested = 0
+    built: list[tuple] = []  # a left subtree's record lies above its sibling's
+    for chain, kind in reversed(plan):
+        if not kind:
+            built.append((_index_stand_in(chain), True, chain + 1))
+            continue
+        body, pure, unsuspended = built.pop()
+        if not chain:
+            if kind == 1:
+                built.append((_ABS, pure, unsuspended + 1))
+                continue
+            _, arg_pure, arg_unsuspended = built.pop()
+            if body is _ABS:
+                counts[RuleKind.BETA] += 1
+            built.append((_APP, pure and arg_pure, unsuspended + arg_unsuspended + 1))
+            continue
+        if kind == 3 and not built.pop()[1]:
+            nested = 1
+        sub = _LIFT if chain > 1 else SHIFT if kind == 1 else _SLASH
+        counts[_closure_rule(body, sub)] += 1
+        built.append((_CLOSURE, False, unsuspended + 1))  # the substitution is suspended
+    del counts[None]
+    counts[ParamKind.UNSUSPENDED.value] = built[0][2]
+    counts[NESTED] = nested
+    return counts
 
 
 def _sample_values(
     n: int, seed: int, lo: int, hi: int, names: tuple[str, ...]
 ) -> list[tuple[int, ...]]:
-    """Parameter values of the samples with indices [lo, hi), one tuple each."""
+    """Parameter values of the samples with indices [lo, hi), one tuple each,
+    read off each sample's plan by ``_plan_values``."""
     plain = (NESTED, ParamKind.UNSUSPENDED.value)
     columns = [name if name in plain else ParamKind(name).rule_kind for name in names]
-    return [_evaluate(sample_term(n, Rng.derived(seed, i)), columns) for i in range(lo, hi)]
+    rows = []
+    for i in range(lo, hi):
+        values = _plan_values(_sample_plan(n, Rng.derived(seed, i)))
+        rows.append(tuple([values[column] for column in columns]))
+    return rows
 
 
 def _worker_count(workers: Optional[int]) -> int:
@@ -235,9 +282,12 @@ def standardized_skewness(summary: SampleSummary) -> float:
 def compare_to_reference(
     summary: SampleSummary, reference: float, tolerance: Tolerance
 ) -> ComparisonReport:
-    """Check the empirical mean against a reference value."""
+    """Check the empirical mean against a reference value, a real number
+    (TypeError for anything else, a bool included)."""
     observed = _member(SampleSummary, summary).mean
     _member(Tolerance, tolerance)
+    if not isinstance(reference, numbers.Real) or reference.__class__ is bool:
+        raise TypeError(f"reference must be a real number, not {reference!r}")
     abs_err = abs(observed - reference)
     rel_err = abs_err / abs(reference) if reference else math.inf
     se = standard_error(summary)
@@ -299,7 +349,8 @@ def export_report(
 ) -> int:
     """Write summaries as CSV or JSON; returns the number of bytes written.
 
-    ``destination`` is a path or a writable text file object.  JSON
+    ``destination`` is a path (str, bytes or path-like) or a writable text
+    file object; anything else raises TypeError before a byte is written.  JSON
     mirrors SampleSummary fields plus any comparisons, with an infinite
     ``rel_err`` (a zero reference) written as null; CSV uses the fixed
     schema ``param,n,m,seed,mean,variance,min,max,m3``.
@@ -336,9 +387,12 @@ def export_report(
         raise ValueError("a destination is required")
     if hasattr(destination, "write"):
         destination.write(text)
-    else:
+    elif isinstance(destination, (str, bytes, os.PathLike)):
         with open(destination, "w", encoding="utf-8") as handle:
             handle.write(text)
+    else:
+        what = "a path or a writable text file object"
+        raise TypeError(f"destination must be {what}, not {destination!r}")
     return len(data)
 
 
@@ -348,11 +402,20 @@ _JSON_TYPES = {"str": ((str,), "a string"), "int": ((int,), "an integer"),
                "float": ((int, float), "a number")}
 
 
+def _finite(x) -> bool:
+    """Whether ``x`` is a finite float, or an int that converts to one."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def import_summaries(text: str) -> list[SampleSummary]:
     """Parse summaries back from the JSON export format.  Raises ValueError
     unless ``text`` is a JSON array of objects that each hold every
     SampleSummary field, with a value of the field's type, as
-    ``export_report`` writes it: a known ``param``, finite numbers, at least
+    ``export_report`` writes it: a known ``param``, finite numbers (an int
+    in a float field converts to a finite float), at least
     two ``samples`` and no negative ``variance``.  Other keys, such as
     ``comparisons``, are ignored."""
     rows = json.loads(text)
@@ -366,7 +429,7 @@ def import_summaries(text: str) -> list[SampleSummary]:
             classes, what = _JSON_TYPES[field.type]
             if row[name].__class__ not in classes:
                 raise ValueError(f"SampleSummary {name} must be {what}, not {row[name]!r}")
-            if row[name].__class__ is float and not math.isfinite(row[name]):
+            if field.type == "float" and not _finite(row[name]):
                 raise ValueError(f"SampleSummary {name} must be finite, not {row[name]!r}")
         for name, least in (("samples", 2), ("variance", 0)):
             if row[name] < least:

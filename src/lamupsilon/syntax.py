@@ -97,7 +97,8 @@ _CLOSER = {"(": ")", "[": "]", "lift": ")", "/": "/", "eof": "eof"}
 
 
 def parse_term(text: str) -> Term:
-    """Parse the concrete syntax; raises ParseError on malformed input.
+    """Parse the concrete syntax; raises ParseError on malformed input, and
+    TypeError for a ``text`` that is not a str.
 
     One loop keeps the open constructs on a stack, innermost last: the
     token that opened each, "/" for a slash payload and "app" for an
@@ -105,6 +106,8 @@ def parse_term(text: str) -> Term:
     grammar gives every child its sort, and an index token is a
     non-negative int, so the unchecked factories build the nodes.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"text must be a str, not {text!r}")
     tokens = _tokenize(text)
     pos = 0
     stack: list = ["eof"]

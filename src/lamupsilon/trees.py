@@ -19,6 +19,14 @@ with one scalar SplitMix64 step per word (medians of alternating runs on
 two shared cores, CPython 3.11); the kernel mixes the 2000 words in about
 0.3 ms.
 
+Both translations go through a plan: the (chain length, anchor code)
+pairs of the term's nodes in pre-order, which ``_fold`` builds into the
+term.  ``_plan`` reads it off a skeleton for ``phi``, and ``_sample_plan``
+off the grafting arrays for ``sample_term``.  The sampling experiments of
+``stats`` read their parameters straight off ``_sample_plan``'s plan and
+build no term; ``sample_term`` and the term walkers of ``rewrite`` are
+the oracle they are tested against.
+
 Every walk over a ``BinTree`` goes through its shape code: the pre-order
 list (left subtree before right) of per-node codes ``2*(has left) + (has
 right)``.  It is a prefix code, so it determines the tree.  ``_shape``
@@ -261,17 +269,22 @@ def phi(tree: BinTree) -> Term:
     A lone node is index 0; two children make an application; only a
     right child makes a binder.  A maximal chain of only-left nodes adds
     successors over a leaf anchor, or wraps lifts around the closure
-    produced by a right-only or two-child anchor.  In the shape code such
-    a chain is a run of 2s followed by its anchor's code.
+    produced by a right-only or two-child anchor.
     """
+    return _fold(_plan(_member(BinTree, tree)))
+
+
+def _plan(tree: BinTree) -> list[tuple[int, int]]:
+    """``phi``'s translation plan for ``_fold``: in the shape code a chain
+    is a run of 2s followed by its anchor's code."""
     plan, chain = [], 0
-    for code in _shape(_member(BinTree, tree)):
+    for code in _shape(tree):
         if code == 2:
             chain += 1
         else:
             plan.append((chain, code))
             chain = 0
-    return _fold(plan)
+    return plan
 
 
 def phi_inv(term: Term) -> BinTree:
@@ -356,7 +369,15 @@ def sample_term(n: int, rng: Rng) -> Term:
     """Uniform random term of size exactly n (there is none of size 0).
 
     Returns ``phi(remy_tree(n, rng))`` and advances ``rng`` exactly as that
-    call would, in one fused pass:
+    call would, in one fused pass: ``_sample_plan`` grafts and reads
+    ``phi``'s plan, and the same ``_fold`` builds the term.
+    """
+    return _fold(_sample_plan(n, rng))
+
+
+def _sample_plan(n: int, rng: Rng) -> list[tuple[int, int]]:
+    """The translation plan of ``sample_term(n, rng)``, with ``rng``
+    advanced as that call advances it:
 
     * the grafting loop is ``remy_tree``'s, reading the stream's words in
       order from ``_batches``: the 2n words a sample needs when no draw is
@@ -367,9 +388,9 @@ def sample_term(n: int, rng: Rng) -> Term:
       rare draws above it.  The side is the low bit of the next word,
       because bound 2 never rejects.  The state ends ``used`` golden
       steps further on, ``used`` being the number of words read;
-    * the translation reads ``phi``'s plan straight off the ``left``/
-      ``right`` id arrays (a skeleton child exists iff its id is odd; even
-      ids are Rémy's leaves) and hands it to the same ``_fold``.
+    * the plan is read straight off the ``left``/``right`` id arrays (a
+      skeleton child exists iff its id is odd; even ids are Rémy's leaves),
+      with no ``BinTree`` in between.
     """
     if _int("n", n) < 1:
         raise InvalidSize("there is no term of size zero")
@@ -413,4 +434,4 @@ def sample_term(n: int, rng: Rng) -> Term:
         else:
             plan.append((chain, 3))  # two children
             stack += (r, l)
-    return _fold(plan)
+    return plan

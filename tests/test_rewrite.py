@@ -166,6 +166,13 @@ def test_a_bare_string_of_kinds_raises_type_error():
     assert str(raised.value) == "kinds must be a list of RuleKind members, not 'Beta'"
 
 
+def test_a_lone_kind_raises_type_error():
+    # a lone member leaked "'RuleKind' object is not iterable"
+    with pytest.raises(TypeError) as raised:
+        find_redexes(parse_term("(\\0) 0"), RuleKind.BETA)
+    assert str(raised.value) == f"kinds must be a list of RuleKind members, not {RuleKind.BETA!r}"
+
+
 def test_count_redexes_examples():
     assert count_redexes(App(Abs(Index(0)), Index(0)), RuleKind.BETA) == 1
     assert count_redexes(Abs(Closure(Index(0), Slash(Index(0)))), RuleKind.FVAR) == 1

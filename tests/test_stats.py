@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from lamupsilon import (
+    Closure,
     ComparisonReport,
     InsufficientSamples,
     InvalidSize,
@@ -22,11 +23,14 @@ from lamupsilon import (
     count_all_redexes,
     count_terms,
     enumerate_terms,
+    enumerate_trees,
     expected_param_exact,
     has_nested_substitution,
     export_report,
     import_summaries,
+    iter_subterms,
     param_value,
+    phi,
     run_experiment,
     sample_term,
     size,
@@ -35,7 +39,16 @@ from lamupsilon import (
     total_param_bruteforce,
     unsuspended_constructors,
 )
-from lamupsilon.stats import LIMIT_MEAN_SLOPE, LIMIT_VARIANCE_SLOPE, _sample_values, round12
+from lamupsilon.series import _marks
+from lamupsilon.stats import (
+    LIMIT_MEAN_SLOPE,
+    LIMIT_VARIANCE_SLOPE,
+    UNSUSPENDED_MEAN_LIMIT,
+    _plan_values,
+    _sample_values,
+    round12,
+)
+from lamupsilon.trees import _plan
 
 ALL_PARAMS = [*ParamKind, NESTED]
 
@@ -111,6 +124,30 @@ def test_sample_values_match_the_term_walkers(n):
     for seed in (0, 5):
         rows = _sample_values(n, seed, 3, 23, names)
         assert rows == [_walked_values(sample_term(n, Rng.derived(seed, i))) for i in range(3, 23)]
+
+
+def test_plan_values_match_the_term_walkers_on_every_small_skeleton():
+    redexes = [param.rule_kind for param in ParamKind if param.rule_kind]
+    columns = [*redexes, ParamKind.UNSUSPENDED.value, NESTED]
+    for n in range(1, 9):
+        for tree in enumerate_trees(n):
+            values = _plan_values(_plan(tree))
+            assert list(values) == columns
+            assert tuple(values.values()) == _walked_values(phi(tree)), tree
+
+
+def test_plan_values_classify_each_closure_through_the_rewriter(monkeypatch):
+    # the rule table is stated once, in rewrite._closure_rule
+    import lamupsilon.stats
+
+    calls = []
+    rule = lamupsilon.stats._closure_rule
+    monkeypatch.setattr(lamupsilon.stats, "_closure_rule", lambda *pair: calls.append(pair) or rule(*pair))
+    for tree in enumerate_trees(6):
+        calls.clear()
+        _plan_values(_plan(tree))
+        closures = [node for _, node in iter_subterms(phi(tree)) if isinstance(node, Closure)]
+        assert len(calls) == len(closures), tree
 
 
 def test_import_leaves_the_process_pool_unloaded():
@@ -207,6 +244,102 @@ def test_reference_tables_are_exact_rationals():
     }
 
 
+# --- the limit constants, derived ----------------------------------------
+
+_TOP = (2, 1, 2)  # the truncation degrees of (e, a, b) in a _Jet
+
+
+class _Jet:
+    """A polynomial in (e, a, b) over the rationals, truncated at e**3 =
+    a**2 = b**3 = 0: ``u = 1 + e`` marks a redex kind, and a and b move z
+    and T, so a jet of Phi(z + a, T + b) holds Phi's derivatives in z, in
+    T and in both, and T's second, as power series in e."""
+
+    def __init__(self, terms):
+        self.terms = {key: c for key, c in terms.items() if c}
+
+    @classmethod
+    def of(cls, value, key=(0, 0, 0)):
+        return cls({key: Fraction(value)})
+
+    def __getitem__(self, key):
+        return self.terms.get(key, 0)
+
+    def __add__(self, other):
+        return _Jet({k: self[k] + other[k] for k in self.terms.keys() | other.terms.keys()})
+
+    def __sub__(self, other):
+        return self + other * _Jet.of(-1)
+
+    def __mul__(self, other):
+        out = {}
+        for (i, j, k), c in self.terms.items():
+            for (p, q, r), d in other.terms.items():
+                key = (i + p, j + q, k + r)
+                if all(e <= top for e, top in zip(key, _TOP)):
+                    out[key] = out.get(key, 0) + c * d
+        return _Jet(out)
+
+    def __truediv__(self, other):
+        # 1/(c(1 - x)) = (1 + x + x**2 + ...)/c, and x**6 = 0 for x without a constant
+        c = other[(0, 0, 0)]
+        x = _Jet({k: -v / c for k, v in other.terms.items() if k != (0, 0, 0)})
+        inverse = power = _Jet.of(1 / c)
+        for _ in range(sum(_TOP)):
+            power = power * x
+            inverse = inverse + power
+        return self * inverse
+
+
+_ONE, _E, _A, _B = (_Jet.of(1, key) for key in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+
+
+def _in_e(jet, a=0, b=0) -> _Jet:
+    """The coefficient of a**a b**b in ``jet``, a power series in e."""
+    return _Jet({(i, 0, 0): jet[(i, a, b)] for i in range(_TOP[0] + 1)})
+
+
+def _singularity(param: ParamKind) -> list[Fraction]:
+    """rho(1 + e) = r0 + r1 e + r2 e**2, the dominant singularity of T when
+    u = 1 + e marks ``param``: the (z, T) where T = Phi(z, T) and 1 =
+    Phi_T(z, T), for Phi = z/(1-z) + zT + zT^2 + zTS + e M with S = z(T +
+    1)/(1 - z) and M the mark ``series._marks`` gives.  Newton steps from
+    (1/4, 1), with the Jacobian there, fix one more power of e each."""
+    z, t = _Jet.of(Fraction(1, 4)), _ONE
+    for step in range(_TOP[0] + 2):
+        za, tb = z + _A, t + _B
+        s = za * (tb + _ONE) / (_ONE - za)
+        mark, den = _marks(_ONE, za, tb, s)[param]
+        phi = za / (_ONE - za) + za * tb + za * tb * tb + za * tb * s + _E * mark
+        g1, g2 = _in_e(phi) - t, _in_e(phi, b=1) - _ONE
+        if not step:  # 1 - Phi_T at u = 1 is the den of the marks
+            assert den[(0, 0, 0)] == g1[(0, 0, 0)] == g2[(0, 0, 0)] == 0
+            j = [[phi[(0, 1, 0)], phi[(0, 0, 1)] - 1], [phi[(0, 1, 1)], 2 * phi[(0, 0, 2)]]]
+            det = j[0][0] * j[1][1] - j[0][1] * j[1][0]
+        z = z - (g1 * _Jet.of(j[1][1] / det) - g2 * _Jet.of(j[0][1] / det))
+        t = t - (g2 * _Jet.of(j[0][0] / det) - g1 * _Jet.of(j[1][0] / det))
+    assert not (g1.terms or g2.terms)  # the last step had nothing left to fix
+    return [z[(i, 0, 0)] for i in range(_TOP[0] + 1)]
+
+
+def test_limit_constants_follow_from_the_marks():
+    # Quasi-powers: X_n has mean ~ mu n and variance ~ sigma2 n with
+    # mu = -rho'(1)/rho(1) and sigma2 = -rho''(1)/rho(1) + mu + mu**2.
+    means, variances = {}, {}
+    for param in LIMIT_MEAN_SLOPE:
+        r0, r1, r2 = _singularity(param)
+        means[param] = mu = -r1 / r0
+        variances[param] = -2 * r2 / r0 + mu + mu * mu
+    assert means == LIMIT_MEAN_SLOPE
+    assert variances == LIMIT_VARIANCE_SLOPE
+    # The unsuspended total is G(z, T) with G analytic at (1/4, 1), its den
+    # being 1/12 there, so its size-n share tends to G_T(1/4, 1).
+    z, t = _Jet.of(Fraction(1, 4)), _ONE + _B
+    mark, den = _marks(_ONE, z, t, z * (t + _ONE) / (_ONE - z))[ParamKind.UNSUSPENDED]
+    assert den[(0, 0, 0)] == Fraction(1, 12)
+    assert (mark / den)[(0, 0, 1)] == UNSUSPENDED_MEAN_LIMIT
+
+
 # --- comparisons --------------------------------------------------------
 
 
@@ -222,6 +355,16 @@ def _summary(mean, variance, samples=100):
         max=10,
         third_central_moment=0.0,
     )
+
+
+@pytest.mark.parametrize("reference", ["1", True, None])
+def test_compare_rejects_a_reference_that_is_not_a_real_number(reference):
+    # a string leaked "unsupported operand type(s) for -: 'float' and 'str'"
+    with pytest.raises(TypeError) as raised:
+        compare_to_reference(_summary(1.0, 0.25), reference, Tolerance("se", 3))
+    assert str(raised.value) == f"reference must be a real number, not {reference!r}"
+    report = compare_to_reference(_summary(1.0, 0.25), Fraction(1), Tolerance("se", 3))
+    assert report.reference == 1.0 and report.verdict
 
 
 def test_compare_absolute_tolerance():
@@ -341,6 +484,21 @@ def test_import_rejects_numbers_that_are_not_finite(name):
         assert str(raised.value) == f"SampleSummary {name} must be finite, not {value!r}"
 
 
+@pytest.mark.parametrize("name", ["mean", "variance", "third_central_moment"])
+def test_import_rejects_an_integer_too_large_for_a_float(name):
+    # it was accepted, and standard_error then raised OverflowError
+    res = run_experiment(5, 10, 0, [ParamKind.BETA])
+    buf = io.StringIO()
+    export_report(list(res.values()), "json", buf)
+    rows = json.loads(buf.getvalue())
+    rows[0][name] = 10**400
+    with pytest.raises(ValueError) as raised:
+        import_summaries(json.dumps(rows))
+    assert str(raised.value) == f"SampleSummary {name} must be finite, not {10**400!r}"
+    rows[0][name] = 10**300  # an int that converts to a finite float is still a number
+    assert getattr(import_summaries(json.dumps(rows))[0], name) == 10**300
+
+
 def test_import_rejects_fewer_than_two_samples():
     # standard_error then divided by zero, and a run never has fewer than two
     row = _exported_row()
@@ -395,6 +553,17 @@ def test_export_io_errors_surface(tmp_path):
     res = run_experiment(5, 10, 0, [ParamKind.BETA])
     with pytest.raises(OSError):
         export_report(list(res.values()), "csv", tmp_path / "missing" / "report.csv")
+
+
+@pytest.mark.parametrize("destination", [True, 1, 2.0, ["report.csv"]])
+def test_export_rejects_a_destination_that_is_no_path_or_file(destination, capfd):
+    # an int was taken as a file descriptor: written to, then closed
+    res = run_experiment(5, 10, 0, [ParamKind.BETA])
+    with pytest.raises(TypeError) as raised:
+        export_report(list(res.values()), "csv", destination)
+    what = "a path or a writable text file object"
+    assert str(raised.value) == f"destination must be {what}, not {destination!r}"
+    assert capfd.readouterr().out == ""
 
 
 def test_decimals_use_twelve_significant_digits():

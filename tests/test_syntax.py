@@ -145,6 +145,14 @@ def test_parse_error_on_trailing_garbage():
     assert parse_error("\\0 \\0") == (3, {"end of input"}, "'\\\\'")
 
 
+@pytest.mark.parametrize("text", [{"a": 1}, b"0", ["0"], None, 0])
+def test_text_that_is_not_a_str_raises_type_error(text):
+    # a dict leaked "KeyError: 0", and bytes an internal TypeError
+    with pytest.raises(TypeError) as raised:
+        parse_term(text)
+    assert str(raised.value) == f"text must be a str, not {text!r}"
+
+
 def test_leading_zeros_read_as_decimal():
     assert parse_term("007") == Index(7)
     assert parse_term("1٣") == Index(13)  # any Unicode decimal digit
