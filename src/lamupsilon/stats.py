@@ -26,13 +26,12 @@ import numbers
 import os
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
 from . import _int, _member
 from .rewrite import RuleKind, _closure_rule
 from .series import ParamKind, expected_param_exact, nested_free_fraction
-from .terms import SHIFT, Abs, App, Closure, Index, Lift, Slash
+from .terms import SHIFT, Abs, App, Closure, Index, Lift, Slash, _index
 from .trees import InvalidSize, Rng, _sample_plan
 
 #: Extra experiment parameter: 0/1 indicator of a nested substitution.
@@ -129,10 +128,9 @@ def _param_name(param: ParamName) -> str:
 
 
 #: Stand-ins for a closure's body and substitution: ``_closure_rule`` reads
-#: their class, and an index body's value, as it reads the nodes they stand for.
+#: their class as it reads the nodes they stand for.
 _ABS, _APP, _CLOSURE = Abs(Index(0)), App(Index(0), Index(0)), Closure(Index(0), SHIFT)
 _SLASH, _LIFT = Slash(Index(0)), Lift(SHIFT)
-_index_stand_in = lru_cache(maxsize=None)(Index)  # one node per index value
 
 
 def _plan_values(plan: list[tuple[int, int]]) -> dict:
@@ -142,18 +140,18 @@ def _plan_values(plan: list[tuple[int, int]]) -> dict:
 
     Bottom-up like ``_fold``, it keeps per subtree a record (stand-in,
     purity, unsuspended count) in place of the node: the stand-in is an
-    index of the same value, ``_ABS``, ``_APP`` or ``_CLOSURE``.  An
-    application of ``_ABS`` is a Beta redex, and ``_closure_rule``
-    classifies each closure from its body's stand-in and its
-    substitution's: ``SHIFT``, ``_SLASH``, or ``_LIFT`` under a chain of
-    two or more.  A slash whose payload is impure is a nested
+    index's value, ``_ABS``, ``_APP`` or ``_CLOSURE``.  An application of
+    ``_ABS`` is a Beta redex, and ``_closure_rule`` classifies each
+    closure from its body's stand-in (an index built from its value) and
+    its substitution's: ``SHIFT``, ``_SLASH``, or ``_LIFT`` under a chain
+    of two or more.  A slash whose payload is impure is a nested
     substitution."""
     counts = dict.fromkeys((*RuleKind, None), 0)  # None: a closure that is no redex
     nested = 0
     built: list[tuple] = []  # a left subtree's record lies above its sibling's
     for chain, kind in reversed(plan):
         if not kind:
-            built.append((_index_stand_in(chain), True, chain + 1))
+            built.append((chain, True, chain + 1))
             continue
         body, pure, unsuspended = built.pop()
         if not chain:
@@ -167,6 +165,8 @@ def _plan_values(plan: list[tuple[int, int]]) -> dict:
             continue
         if kind == 3 and not built.pop()[1]:
             nested = 1
+        if body.__class__ is int:
+            body = _index(body)
         sub = _LIFT if chain > 1 else SHIFT if kind == 1 else _SLASH
         counts[_closure_rule(body, sub)] += 1
         built.append((_CLOSURE, False, unsuspended + 1))  # the substitution is suspended
