@@ -25,8 +25,8 @@ from lamupsilon import (
     enumerate_terms,
     enumerate_trees,
     expected_param_exact,
-    has_nested_substitution,
     export_report,
+    has_nested_substitution,
     import_summaries,
     iter_subterms,
     param_value,
@@ -122,8 +122,8 @@ def _walked_values(term) -> tuple[int, ...]:
 def test_sample_values_match_the_term_walkers(n):
     names = (*(param.value for param in ParamKind), NESTED)
     for seed in (0, 5):
-        rows = _sample_values(n, seed, 3, 23, names)
-        assert rows == [_walked_values(sample_term(n, Rng.derived(seed, i))) for i in range(3, 23)]
+        terms = [sample_term(n, Rng.derived(seed, i)) for i in range(3, 23)]
+        assert _sample_values(n, seed, 3, 23, names) == list(map(_walked_values, terms))
 
 
 def test_plan_values_match_the_term_walkers_on_every_small_skeleton():
@@ -140,9 +140,13 @@ def test_plan_values_classify_each_closure_through_the_rewriter(monkeypatch):
     # the rule table is stated once, in rewrite._closure_rule
     import lamupsilon.stats
 
-    calls = []
-    rule = lamupsilon.stats._closure_rule
-    monkeypatch.setattr(lamupsilon.stats, "_closure_rule", lambda *pair: calls.append(pair) or rule(*pair))
+    calls, rule = [], lamupsilon.stats._closure_rule
+
+    def counted(body, sub):
+        calls.append((body, sub))
+        return rule(body, sub)
+
+    monkeypatch.setattr(lamupsilon.stats, "_closure_rule", counted)
     for tree in enumerate_trees(6):
         calls.clear()
         _plan_values(_plan(tree))
