@@ -3,7 +3,8 @@
 Subcommands are thin adapters over the library: ``count``, ``sample``,
 ``normalize``, ``stats``, ``expect`` and ``verify``.  Exit codes: 0 on
 success, 1 when a verification fails or a step budget runs out, 2 on
-usage or parse errors.
+usage or parse errors.  A ``normalize --trace`` step that does not replay
+is a fault of the engine: it raises RuntimeError and maps to no exit code.
 """
 
 from __future__ import annotations
@@ -122,17 +123,16 @@ def _cmd_normalize(args) -> int:
     if args.max_steps is not None and args.max_steps < 0:
         return _usage_error("--max-steps must be non-negative")
     try:
-        normal, trace = normalize(
-            term, args.strategy, args.max_steps, keep_terms=args.trace
-        )
+        normal, trace = normalize(term, args.strategy, args.max_steps, keep_terms=False)
         code = 0
     except BudgetExceeded as stopped:
         normal, trace, code = stopped.term, stopped.trace, 1
     print(render_term(normal))
     if args.trace:
-        # one step at a time, byte-identical to json.dumps(trace_to_json(trace))
+        # one step at a time, byte-identical to json.dumps(trace_to_json(trace)) of a
+        # trace with result terms: each is replayed from the input, so one term is held
         sys.stdout.write("[")
-        for i, item in enumerate(_trace_items(trace)):
+        for i, item in enumerate(_trace_items(trace, term)):
             sys.stdout.write((", " if i else "") + json.dumps(item))
         sys.stdout.write("]\n")
     if code:

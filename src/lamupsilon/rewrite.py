@@ -16,8 +16,12 @@ identical to "rescan from the root, fire the first enabled redex"
 redex: that rule fires from the new subtree and the parent's other child,
 without rebuilding the parent, and so on up.  A parent that is not a redex
 stays stale until the walk climbs back through it or ``_rebuild`` needs
-the whole term.  A step costs its redex's depth: it copies the position,
-and with ``keep_terms`` rebuilds the path to the root.
+the whole term.  A step costs its redex's depth: it stores its position
+as one byte per level (every ordinal on a path is 0 or 1), and with
+``keep_terms`` rebuilds the path to the root.  The trace keeps each step
+as its rule, that ``bytes`` position and any result term, none of them a
+container the garbage collector tracks, and builds ``TraceStep`` tuples
+only when ``steps`` is read.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterable, NamedTuple, Optional
 
 from . import _int, _member
@@ -107,16 +112,50 @@ class TraceStep(NamedTuple):
 
 @dataclass(frozen=True)
 class Trace:
-    """The steps of a normalization, in order; its length is the step count."""
+    """The steps of a normalization, in order; its length is the step count.
+
+    A trace that ``normalize`` made holds a compact record instead (see
+    ``_compact_trace``): it builds ``steps`` on first read and keeps them,
+    while ``len`` and ``rules`` read the record and build no step."""
 
     steps: tuple[TraceStep, ...]
 
+    def __getattr__(self, name: str):
+        # reached only while ``steps`` is unset, so on a trace from _compact_trace
+        if name != "steps" or "_record" not in self.__dict__:
+            raise AttributeError(f"'Trace' object has no attribute {name!r}")
+        steps = tuple(TraceStep(rule, tuple(position), result)
+                      for rule, position, result in _rows(self))
+        object.__setattr__(self, "steps", steps)
+        return steps
+
     def __len__(self) -> int:
-        return len(self.steps)
+        record = self.__dict__.get("_record")
+        return len(self.steps if record is None else record[0])
 
     @property
     def rules(self) -> tuple[RuleKind, ...]:
-        return tuple(step.rule for step in self.steps)
+        return tuple(row[0] for row in _rows(self))
+
+
+def _compact_trace(
+    rules: list[RuleKind], positions: list[bytes], results: Optional[list[Term]]
+) -> Trace:
+    """The trace of ``normalize``: per step its rule, its position as bytes and,
+    unless ``results`` is None, its result term.  It is equal, in hash and in
+    repr, to the trace of the same steps built through ``Trace(steps)``."""
+    trace = object.__new__(Trace)
+    object.__setattr__(trace, "_record", (rules, positions, results))
+    return trace
+
+
+def _rows(trace: Trace):
+    """``(rule, position, result)`` per step of ``trace``, off its record if it has one."""
+    record = trace.__dict__.get("_record")
+    if record is None:
+        return trace.steps
+    rules, positions, results = record
+    return zip(rules, positions, repeat(None) if results is None else results)
 
 
 class InvalidRedex(ValueError):
@@ -246,7 +285,9 @@ def normalize(
     _bound("max_steps", max_steps, None)
     beta = strategy == "full"  # only Beta matches at an App
 
-    steps: list[TraceStep] = []
+    rules: list[RuleKind] = []
+    positions: list[bytes] = []  # an ordinal is 0 or 1, and bytes are not GC-tracked
+    results: Optional[list[Term]] = [] if keep_terms else None
     parents: list[Term] = []  # nodes on the path from the root to the focus
     ordinals: list[int] = []  # ordinals[d]: the child of parents[d] on the path
     focus: object = _of_sort(term, "Term")
@@ -258,15 +299,16 @@ def normalize(
             if kind is not None:
                 redex = focus._children()
                 while kind is not None:
-                    if max_steps is not None and len(steps) >= max_steps:
+                    if max_steps is not None and len(rules) >= max_steps:
                         whole = _rebuild(parents, ordinals, focus)
-                        raise BudgetExceeded(whole, Trace(tuple(steps)))
+                        raise BudgetExceeded(whole, _compact_trace(rules, positions, results))
                     if redex[0] is focus:  # the redex is the focus's stale parent
                         del parents[-1], ordinals[-1]
                     focus = _RIGHT_HAND_SIDE[kind](*redex)
-                    after = _rebuild(parents, ordinals, focus) if keep_terms else None
-                    # tuple.__new__ skips the named tuple's own Python-level __new__
-                    steps.append(tuple.__new__(TraceStep, (kind, tuple(ordinals), after)))
+                    rules.append(kind)
+                    positions.append(bytes(ordinals))
+                    if keep_terms:
+                        results.append(_rebuild(parents, ordinals, focus))
                     # Outside the new subtree only the parent's redex status can
                     # change, and only if the new subtree is its first child.
                     parent = parents[-1] if parents and not ordinals[-1] else None
@@ -286,22 +328,33 @@ def normalize(
             focus, resume, test = kids[resume], 0, True
             continue
         if not parents:
-            return focus, Trace(tuple(steps))
+            return focus, _compact_trace(rules, positions, results)
         node, ordinal = parents.pop(), ordinals.pop()
         if node._children()[ordinal] is not focus:
             node = _with_child(node, ordinal, focus)
         focus, resume, test = node, ordinal + 1, False
 
 
-def _trace_items(trace: Trace):
-    """The wire-format items of ``trace``, rendered one step at a time."""
-    for step in trace.steps:
-        if step.result is None:
+def _trace_items(trace: Trace, start: Optional[Term] = None):
+    """The wire-format items of ``trace``, rendered one step at a time.
+
+    Given ``start``, the term the trace began from, each result term is
+    rebuilt by replaying its step on the one before, so a trace recorded
+    without result terms serves too, at one path per step.  A step that
+    does not replay is a fault of the engine, raised as RuntimeError."""
+    term = start
+    for k, (rule, position, result) in enumerate(_rows(trace)):
+        if start is not None:
+            try:
+                term = result = apply_at(term, Redex(tuple(position), rule))
+            except InvalidRedex as err:
+                raise RuntimeError(f"step {k} of the trace does not replay: {err}") from err
+        elif result is None:
             raise ValueError("trace was recorded without result terms")
         yield {
-            "rule": step.rule.value,
-            "position": list(step.position),
-            "term": render_term(step.result),
+            "rule": rule.value,
+            "position": list(position),
+            "term": render_term(result),
         }
 
 

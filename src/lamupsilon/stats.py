@@ -282,12 +282,15 @@ def standardized_skewness(summary: SampleSummary) -> float:
 def compare_to_reference(
     summary: SampleSummary, reference: float, tolerance: Tolerance
 ) -> ComparisonReport:
-    """Check the empirical mean against a reference value, a real number
-    (TypeError for anything else, a bool included)."""
+    """Check the empirical mean against a reference value, a finite real
+    number (TypeError for anything else, a bool included; ValueError for an
+    infinity, a NaN or a number too large for a float)."""
     observed = _member(SampleSummary, summary).mean
     _member(Tolerance, tolerance)
     if not isinstance(reference, numbers.Real) or reference.__class__ is bool:
         raise TypeError(f"reference must be a real number, not {reference!r}")
+    if not _finite(reference):
+        raise ValueError(f"reference must be finite, not {reference!r}")
     abs_err = abs(observed - reference)
     rel_err = abs_err / abs(reference) if reference else math.inf
     se = standard_error(summary)
@@ -403,10 +406,10 @@ _JSON_TYPES = {"str": ((str,), "a string"), "int": ((int,), "an integer"),
 
 
 def _finite(x) -> bool:
-    """Whether ``x`` is a finite float, or an int that converts to one."""
+    """Whether the real number ``x`` converts to a finite float."""
     try:
         return math.isfinite(x)
-    except OverflowError:  # an int too large for a float
+    except OverflowError:  # an int or a fraction too large for a float
         return False
 
 
@@ -415,7 +418,7 @@ def import_summaries(text: str) -> list[SampleSummary]:
     unless ``text`` is a JSON array of objects that each hold every
     SampleSummary field, with a value of the field's type, as
     ``export_report`` writes it: a known ``param``, finite numbers (an int
-    in a float field converts to a finite float), at least
+    in a float field, and ``samples``, converts to a finite float), at least
     two ``samples`` and no negative ``variance``.  Other keys, such as
     ``comparisons``, are ignored."""
     rows = json.loads(text)
@@ -429,7 +432,7 @@ def import_summaries(text: str) -> list[SampleSummary]:
             classes, what = _JSON_TYPES[field.type]
             if row[name].__class__ not in classes:
                 raise ValueError(f"SampleSummary {name} must be {what}, not {row[name]!r}")
-            if field.type == "float" and not _finite(row[name]):
+            if (field.type == "float" or name == "samples") and not _finite(row[name]):
                 raise ValueError(f"SampleSummary {name} must be finite, not {row[name]!r}")
         for name, least in (("samples", 2), ("variance", 0)):
             if row[name] < least:

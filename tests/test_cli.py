@@ -21,7 +21,7 @@ from lamupsilon import (
     size,
     trace_to_json,
 )
-from lamupsilon import cli
+from lamupsilon import cli, rewrite
 from lamupsilon.cli import main
 
 from conftest import terms
@@ -250,7 +250,8 @@ def test_trace_of_a_normal_form_is_an_empty_array(capsys):
     assert run_cli(capsys, "normalize", "--term", "\\0 1", "--trace") == (0, "\\0 1\n[]\n", "")
 
 
-def test_normalize_keeps_terms_only_for_trace(capsys, monkeypatch):
+def test_normalize_never_keeps_terms(capsys, monkeypatch):
+    # --trace replays its steps from the input instead of keeping every result term
     traces = []
 
     def spy(*args, **kwargs):
@@ -260,11 +261,23 @@ def test_normalize_keeps_terms_only_for_trace(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "normalize", spy)
     assert run_cli(capsys, "normalize", "--term", "(\\\\1) 0")[:2] == (0, "\\1\n")
-    assert run_cli(capsys, "normalize", "--term", "(\\\\1) 0", "--trace")[0] == 0
+    code, out, _ = run_cli(capsys, "normalize", "--term", "(\\\\1) 0", "--trace")
     plain, traced = traces
     assert len(plain) == len(traced) == 5
-    assert all(step.result is None for step in plain.steps)
-    assert all(step.result is not None for step in traced.steps)
+    assert all(step.result is None for step in plain.steps + traced.steps)
+    kept = normalize(parse_term("(\\\\1) 0"))[1]
+    assert (code, out) == (0, f"\\1\n{json.dumps(trace_to_json(kept))}\n")
+
+
+def test_a_trace_that_does_not_replay_is_an_internal_error(capsys, monkeypatch):
+    # never exit code 1, which means a spent budget
+    def refuse(term, redex):
+        raise rewrite.InvalidRedex("refused")
+
+    monkeypatch.setattr(rewrite, "apply_at", refuse)
+    with pytest.raises(RuntimeError, match="^step 0 of the trace does not replay: refused$"):
+        main(["normalize", "--term", "0[shift]", "--trace"])
+    assert capsys.readouterr().out == "1\n["
 
 
 def test_expect_golden(capsys):

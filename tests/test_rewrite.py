@@ -1,5 +1,9 @@
+import copy
+import dataclasses
+import gc
 import hashlib
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +22,7 @@ from lamupsilon import (
     Rng,
     RuleKind,
     Slash,
+    Trace,
     apply_at,
     count_all_redexes,
     count_redexes,
@@ -419,6 +424,46 @@ def test_trace_steps_keep_their_text_and_value_semantics(capsys):
             normalize(parse_term(text), strategy, 7)
         stop = info.value
         assert out == f"{render_term(stop.term)}\n{json.dumps(trace_to_json(stop.trace))}\n"
+
+
+def _made_traces():
+    """Traces that normalize made, steps unread: with terms, without, at a budget stop."""
+    t = sample_term(60, Rng.derived(3, 0))
+    for keep_terms in (True, False):
+        yield normalize(t, "full", keep_terms=keep_terms)[1]
+        with pytest.raises(BudgetExceeded) as info:
+            normalize(t, "full", 7, keep_terms=keep_terms)
+        yield info.value.trace
+
+
+def test_a_made_trace_equals_the_trace_of_its_steps():
+    assert [field.name for field in dataclasses.fields(Trace)] == ["steps"]
+    for made in _made_traces():
+        built = Trace(tuple(made.steps))
+        assert made == built and hash(made) == hash(built) and repr(made) == repr(built)
+        assert copy.copy(made) == made == pickle.loads(pickle.dumps(made))
+        if made.steps[0].result is not None:
+            assert trace_to_json(made) == trace_to_json(built)
+
+
+def test_len_and_rules_build_no_steps():
+    for made in _made_traces():
+        assert len(made) > 0 and made.rules
+        assert "steps" not in vars(made)
+        assert made.rules == tuple(step.rule for step in made.steps)
+        assert len(made) == len(made.steps) and "steps" in vars(made)
+    with pytest.raises(AttributeError, match="no attribute 'stpes'"):
+        made.stpes
+
+
+def test_a_made_trace_adds_no_object_per_step_to_the_collector():
+    # the parent's trace kept a GC-tracked TraceStep per step: 5003 objects here
+    term = parse_term("0" + "[shift]" * 5000)
+    gc.collect()
+    before = len(gc.get_objects())
+    normal, trace = normalize(term, "upsilon", keep_terms=False)
+    assert len(gc.get_objects()) - before < 100
+    assert normal == Index(5000) and len(trace) == 5000
 
 
 def test_bigstep_oracle_agrees_on_all_small_terms():

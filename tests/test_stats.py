@@ -371,6 +371,18 @@ def test_compare_rejects_a_reference_that_is_not_a_real_number(reference):
     assert report.reference == 1.0 and report.verdict
 
 
+@pytest.mark.parametrize(
+    "reference",
+    [math.inf, -math.inf, math.nan, 10**400, Fraction(10**400)],
+    ids=["inf", "-inf", "nan", "int", "fraction"],
+)
+def test_compare_rejects_a_reference_that_is_not_finite(reference):
+    # inf gave verdict=True with a NaN rel_err; NaN gave a report export_report refused
+    with pytest.raises(ValueError) as raised:
+        compare_to_reference(_summary(1.0, 0.25), reference, Tolerance("rel", 3))
+    assert str(raised.value) == f"reference must be finite, not {reference!r}"
+
+
 def test_compare_absolute_tolerance():
     report = compare_to_reference(_summary(1.05, 0.25), 1.0, Tolerance("abs", 0.1))
     assert report.verdict and math.isclose(report.abs_err, 0.05)
@@ -511,6 +523,16 @@ def test_import_rejects_fewer_than_two_samples():
             import_summaries(json.dumps([{**row, "samples": samples}]))
         assert str(raised.value) == f"SampleSummary samples must be at least 2, not {samples}"
     assert import_summaries(json.dumps([{**row, "samples": 2}]))[0].samples == 2
+
+
+def test_import_rejects_a_sample_count_too_large_for_a_float():
+    # it was accepted, and standard_error then raised OverflowError
+    row = _exported_row()
+    with pytest.raises(ValueError) as raised:
+        import_summaries(json.dumps([{**row, "samples": 10**400}]))
+    assert str(raised.value) == f"SampleSummary samples must be finite, not {10**400!r}"
+    summary = import_summaries(json.dumps([{**row, "samples": 10**300}]))[0]
+    assert summary.samples == 10**300 and standard_error(summary) < 1e-100
 
 
 def test_import_rejects_a_negative_variance():
