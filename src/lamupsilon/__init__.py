@@ -7,9 +7,9 @@ statistics harness.
 
 Submodules load on first use (PEP 562): ``import lamupsilon`` loads none of
 them, and the exact expectations load ``series`` alone.  The argument checks
-of every public entry point, ``_int`` and ``_member``, live here, at the
-bottom of the import graph; the root check of a term or substitution,
-``terms._of_sort``, lives beside the sorts it reads.
+of every public entry point, ``_int``, ``_iterable`` and ``_member``, live
+here, at the bottom of the import graph; the root check of a term or
+substitution, ``terms._of_sort``, lives beside the sorts it reads.
 """
 
 import importlib
@@ -73,6 +73,17 @@ def _int(name: str, value):
     if value.__class__ is not int:
         raise TypeError(f"{name} must be an int, not {value!r}")
     return value
+
+
+def _iterable(name: str, value, what: str):
+    """``iter(value)``; TypeError naming ``name`` unless ``value`` is an
+    iterable other than a string, which is one item rather than a list."""
+    if not isinstance(value, str):
+        try:
+            return iter(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be {what}, not {value!r}")
 
 
 def _member(kind, value):

@@ -123,16 +123,16 @@ def _cmd_normalize(args) -> int:
     if args.max_steps is not None and args.max_steps < 0:
         return _usage_error("--max-steps must be non-negative")
     try:
-        normal, trace = normalize(term, args.strategy, args.max_steps, keep_terms=False)
+        normal, trace = normalize(term, args.strategy, args.max_steps)
         code = 0
     except BudgetExceeded as stopped:
         normal, trace, code = stopped.term, stopped.trace, 1
     print(render_term(normal))
     if args.trace:
-        # one step at a time, byte-identical to json.dumps(trace_to_json(trace)) of a
-        # trace with result terms: each is replayed from the input, so one term is held
+        # one step at a time, byte-identical to json.dumps(trace_to_json(trace)): the
+        # trace replays each result term from the input, so one term is held at a time
         sys.stdout.write("[")
-        for i, item in enumerate(_trace_items(trace, term)):
+        for i, item in enumerate(_trace_items(trace)):
             sys.stdout.write((", " if i else "") + json.dumps(item))
         sys.stdout.write("]\n")
     if code:

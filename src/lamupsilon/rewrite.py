@@ -17,11 +17,10 @@ redex: that rule fires from the new subtree and the parent's other child,
 without rebuilding the parent, and so on up.  A parent that is not a redex
 stays stale until the walk climbs back through it or ``_rebuild`` needs
 the whole term.  A step costs its redex's depth: it stores its position
-as one byte per level (every ordinal on a path is 0 or 1), and with
-``keep_terms`` rebuilds the path to the root.  The trace keeps each step
-as its rule, that ``bytes`` position and any result term, none of them a
-container the garbage collector tracks, and builds ``TraceStep`` tuples
-only when ``steps`` is read.
+as one byte per level (every ordinal on a path is 0 or 1).  The trace
+keeps each step as its rule and that ``bytes`` position, neither tracked
+by the garbage collector, and with ``keep_terms`` the start term, from
+which it replays each result term through ``apply_at`` once ``steps`` is read.
 """
 
 from __future__ import annotations
@@ -29,10 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import repeat
 from typing import Iterable, NamedTuple, Optional
 
-from . import _int, _member
+from . import _int, _iterable, _member
 from .syntax import render_term
 from .terms import (
     SHIFT,
@@ -107,7 +105,7 @@ class TraceStep(NamedTuple):
 
     rule: RuleKind
     position: Position
-    result: Optional[Term]  # whole term after the step; None if not recorded
+    result: Optional[Term]  # whole term after the step, replayed on read; None if not kept
 
 
 @dataclass(frozen=True)
@@ -131,31 +129,39 @@ class Trace:
 
     def __len__(self) -> int:
         record = self.__dict__.get("_record")
-        return len(self.steps if record is None else record[0])
+        return len(self.steps if record is None else record[1])
 
     @property
     def rules(self) -> tuple[RuleKind, ...]:
-        return tuple(row[0] for row in _rows(self))
+        record = self.__dict__.get("_record")
+        return tuple(step.rule for step in self.steps) if record is None else tuple(record[1])
 
 
-def _compact_trace(
-    rules: list[RuleKind], positions: list[bytes], results: Optional[list[Term]]
-) -> Trace:
-    """The trace of ``normalize``: per step its rule, its position as bytes and,
-    unless ``results`` is None, its result term.  It is equal, in hash and in
-    repr, to the trace of the same steps built through ``Trace(steps)``."""
+def _compact_trace(start: Optional[Term], rules: list[RuleKind], positions: list[bytes]) -> Trace:
+    """The trace of ``normalize``: its start term (None: no result terms) and per
+    step its rule and its position as bytes.  It is equal, in hash and in repr,
+    to the trace of the same steps built through ``Trace(steps)``."""
     trace = object.__new__(Trace)
-    object.__setattr__(trace, "_record", (rules, positions, results))
+    object.__setattr__(trace, "_record", (start, rules, positions))
     return trace
 
 
 def _rows(trace: Trace):
-    """``(rule, position, result)`` per step of ``trace``, off its record if it has one."""
+    """``(rule, position, result)`` per step of ``trace``, off its record if it has
+    one, replaying each step on the result before; one that does not replay is
+    a fault of the engine, raised as RuntimeError."""
     record = trace.__dict__.get("_record")
     if record is None:
-        return trace.steps
-    rules, positions, results = record
-    return zip(rules, positions, repeat(None) if results is None else results)
+        yield from trace.steps
+        return
+    term, rules, positions = record
+    for k, (rule, position) in enumerate(zip(rules, positions)):
+        if term is not None:
+            try:
+                term = apply_at(term, Redex(tuple(position), rule))
+            except InvalidRedex as err:
+                raise RuntimeError(f"step {k} of the trace does not replay: {err}") from err
+        yield rule, position, term
 
 
 class InvalidRedex(ValueError):
@@ -219,9 +225,11 @@ def find_redexes(term: Term, kinds: Optional[Iterable[RuleKind]] = None) -> list
     The walk keeps one path of child ordinals and copies it only for a
     redex, so a call costs the size of the term plus the depth of each
     redex found, not the depth of every node."""
-    if isinstance(kinds, (str, RuleKind)):
-        raise TypeError(f"kinds must be a list of RuleKind members, not {kinds!r}")
-    wanted = ALL_RULES if kinds is None else frozenset(_member(RuleKind, kind) for kind in kinds)
+    if kinds is None:
+        wanted = ALL_RULES
+    else:
+        kinds = _iterable("kinds", kinds, "a list of RuleKind members")
+        wanted = frozenset(_member(RuleKind, kind) for kind in kinds)
     found, path, stack = [], [], [(_of_sort(term, "Term"), 0, 0)]  # (node, depth, ordinal)
     while stack:
         node, depth, ordinal = stack.pop()
@@ -275,8 +283,8 @@ def normalize(
     leftmost-outermost redex is the pre-order-first one.  Raises
     BudgetExceeded once ``max_steps`` rewrites have happened and an enabled
     redex remains.
-    With ``keep_terms=False`` the trace omits the per-step result terms.
-    A step costs its redex's depth, for the position and any result term.
+    A step costs its redex's depth, for its position.  The trace replays
+    each result term from ``term`` on read; with ``keep_terms=False`` it is None.
     A parent that a step makes a redex fires from its children at once;
     any other parent stays stale until the walk climbs back through it.
     """
@@ -285,9 +293,9 @@ def normalize(
     _bound("max_steps", max_steps, None)
     beta = strategy == "full"  # only Beta matches at an App
 
+    start = term if keep_terms else None
     rules: list[RuleKind] = []
     positions: list[bytes] = []  # an ordinal is 0 or 1, and bytes are not GC-tracked
-    results: Optional[list[Term]] = [] if keep_terms else None
     parents: list[Term] = []  # nodes on the path from the root to the focus
     ordinals: list[int] = []  # ordinals[d]: the child of parents[d] on the path
     focus: object = _of_sort(term, "Term")
@@ -301,14 +309,12 @@ def normalize(
                 while kind is not None:
                     if max_steps is not None and len(rules) >= max_steps:
                         whole = _rebuild(parents, ordinals, focus)
-                        raise BudgetExceeded(whole, _compact_trace(rules, positions, results))
+                        raise BudgetExceeded(whole, _compact_trace(start, rules, positions))
                     if redex[0] is focus:  # the redex is the focus's stale parent
                         del parents[-1], ordinals[-1]
                     focus = _RIGHT_HAND_SIDE[kind](*redex)
                     rules.append(kind)
                     positions.append(bytes(ordinals))
-                    if keep_terms:
-                        results.append(_rebuild(parents, ordinals, focus))
                     # Outside the new subtree only the parent's redex status can
                     # change, and only if the new subtree is its first child.
                     parent = parents[-1] if parents and not ordinals[-1] else None
@@ -328,28 +334,18 @@ def normalize(
             focus, resume, test = kids[resume], 0, True
             continue
         if not parents:
-            return focus, _compact_trace(rules, positions, results)
+            return focus, _compact_trace(start, rules, positions)
         node, ordinal = parents.pop(), ordinals.pop()
         if node._children()[ordinal] is not focus:
             node = _with_child(node, ordinal, focus)
         focus, resume, test = node, ordinal + 1, False
 
 
-def _trace_items(trace: Trace, start: Optional[Term] = None):
-    """The wire-format items of ``trace``, rendered one step at a time.
-
-    Given ``start``, the term the trace began from, each result term is
-    rebuilt by replaying its step on the one before, so a trace recorded
-    without result terms serves too, at one path per step.  A step that
-    does not replay is a fault of the engine, raised as RuntimeError."""
-    term = start
-    for k, (rule, position, result) in enumerate(_rows(trace)):
-        if start is not None:
-            try:
-                term = result = apply_at(term, Redex(tuple(position), rule))
-            except InvalidRedex as err:
-                raise RuntimeError(f"step {k} of the trace does not replay: {err}") from err
-        elif result is None:
+def _trace_items(trace: Trace):
+    """The wire-format items of ``trace``, rendered one step at a time, so a
+    trace from ``normalize`` holds one result term at a time."""
+    for rule, position, result in _rows(trace):
+        if result is None:
             raise ValueError("trace was recorded without result terms")
         yield {
             "rule": rule.value,

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from . import _int, _member
+from . import _int, _iterable, _member
 from .rewrite import RuleKind, _closure_rule
 from .series import ParamKind, expected_param_exact, nested_free_fraction
 from .terms import SHIFT, Abs, App, Closure, Index, Lift, Slash, _index
@@ -94,7 +94,9 @@ class SampleSummary:
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Acceptance band: absolute, relative, or k standard errors."""
+    """Acceptance band: absolute, relative, or k standard errors.  ``value``
+    is a real number (TypeError for anything else, a bool included) that is
+    finite and non-negative (ValueError otherwise)."""
 
     mode: str  # "abs" | "rel" | "se"
     value: float
@@ -102,6 +104,8 @@ class Tolerance:
     def __post_init__(self):
         if self.mode not in ("abs", "rel", "se"):
             raise ValueError(f"unknown tolerance mode {self.mode!r}")
+        if _real("tolerance value", self.value) < 0:
+            raise ValueError(f"tolerance value must be non-negative, not {self.value!r}")
 
 
 @dataclass(frozen=True)
@@ -227,8 +231,7 @@ def run_experiment(
     if _int("m", m) < 2:
         raise InsufficientSamples("need at least two samples")
     _int("seed", seed)
-    if isinstance(params, str):
-        raise TypeError(f"params must be a list of parameter names, not {params!r}")
+    params = _iterable("params", params, "a list of parameter names")
     names = tuple(dict.fromkeys(_param_name(p) for p in params))
     if not names:
         raise ValueError("no parameters requested")
@@ -287,10 +290,7 @@ def compare_to_reference(
     infinity, a NaN or a number too large for a float)."""
     observed = _member(SampleSummary, summary).mean
     _member(Tolerance, tolerance)
-    if not isinstance(reference, numbers.Real) or reference.__class__ is bool:
-        raise TypeError(f"reference must be a real number, not {reference!r}")
-    if not _finite(reference):
-        raise ValueError(f"reference must be finite, not {reference!r}")
+    _real("reference", reference)
     abs_err = abs(observed - reference)
     rel_err = abs_err / abs(reference) if reference else math.inf
     se = standard_error(summary)
@@ -356,11 +356,20 @@ def export_report(
     file object; anything else raises TypeError before a byte is written.  JSON
     mirrors SampleSummary fields plus any comparisons, with an infinite
     ``rel_err`` (a zero reference) written as null; CSV uses the fixed
-    schema ``param,n,m,seed,mean,variance,min,max,m3``.
+    schema ``param,n,m,seed,mean,variance,min,max,m3``.  ``comparisons`` is
+    None or a dict of lists of ComparisonReport, else TypeError.
     """
+    results = _iterable("results", results, "a list of SampleSummary records")
     results = [_member(SampleSummary, s) for s in results]
     if not results:
         raise ValueError("nothing to export")
+    if comparisons is not None and not isinstance(comparisons, dict):
+        raise TypeError(f"comparisons must be a dict of lists, not {comparisons!r}")
+    for key, reports in (comparisons or {}).items():
+        if not isinstance(reports, list):
+            raise TypeError(f"comparisons[{key!r}] must be a list, not {reports!r}")
+        for report in reports:
+            _member(ComparisonReport, report)
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -403,6 +412,16 @@ def export_report(
 #: name: a float field also takes an int, and no field a bool.
 _JSON_TYPES = {"str": ((str,), "a string"), "int": ((int,), "an integer"),
                "float": ((int, float), "a number")}
+
+
+def _real(name: str, x):
+    """``x``; TypeError unless it is a real number (not a bool), ValueError
+    unless it converts to a finite float."""
+    if not isinstance(x, numbers.Real) or x.__class__ is bool:
+        raise TypeError(f"{name} must be a real number, not {x!r}")
+    if not _finite(x):
+        raise ValueError(f"{name} must be finite, not {x!r}")
+    return x
 
 
 def _finite(x) -> bool:

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass, fields
 
-from . import _int
+from . import _int, _iterable
 
 
 class _Node:
@@ -355,7 +355,7 @@ def _preorder(term: Term):
 def _walk(term: Term, position: Position) -> list[Node]:
     """Nodes along ``position``, root first; raises ValueError on an invalid path."""
     path: list[Node] = [_of_sort(term, "Term")]
-    for depth, ordinal in enumerate(position):
+    for depth, ordinal in enumerate(_iterable("position", position, "a tuple of ints")):
         kids = path[-1]._children()
         if not 0 <= _int("position ordinal", ordinal) < len(kids):
             raise ValueError(

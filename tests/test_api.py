@@ -268,28 +268,9 @@ def test_the_argument_table_lists_every_int_and_kind_parameter():
     # a new public parameter annotated with int, ParamKind or RuleKind has to
     # join ARGUMENTS, so it cannot skip the class check unnoticed; a class is
     # read through its __init__ and every public method written in Python
-    mentions = re.compile(r"\b(int|ParamKind|RuleKind)\b")
-    found = set()
-    for name in lamupsilon.__all__:
-        obj = getattr(lamupsilon, name)
-        if name in ("SampleSummary", "ParseError", "Redex"):  # records
-            continue
-        if inspect.isclass(obj):
-            entries = [(name, obj.__init__)] + [
-                (f"{name}.{method}", function)
-                for method, function in inspect.getmembers(
-                    obj, lambda value: inspect.isfunction(value) or inspect.ismethod(value)
-                )
-                if not method.startswith("_")
-            ]
-        elif inspect.isroutine(obj):
-            entries = [(name, obj)]
-        else:
-            continue
-        for entry, function in entries:
-            for parameter in inspect.signature(function).parameters.values():
-                if mentions.search(str(parameter.annotation)):
-                    found.add((entry, parameter.name))
+    records = ("SampleSummary", "ParseError", "Redex")
+    found = _annotated_parameters("int", "ParamKind", "RuleKind", constructors=True)
+    found = {entry for entry in found if entry[0].partition(".")[0] not in records}
     assert {("enumerate_trees", "n"), ("Rng.derived", "index"), ("Index", "n"),
             ("Series.coefficient", "n")} <= found
     assert found <= ARGUMENTS.keys(), sorted(found - ARGUMENTS.keys())
@@ -350,15 +331,17 @@ def test_roots_of_the_wrong_sort_raise_type_error(entry):
         assert str(raised.value) == message + repr(x), (entry, x)
 
 
-def _annotated_parameters(*names: str) -> set:
+def _annotated_parameters(*names: str, constructors: bool = False) -> set:
     """(entry point, parameter) of each public parameter whose annotation
-    names one of ``names``; a class counts by its public methods."""
+    names one of ``names``; a class counts by its public methods, and with
+    ``constructors`` by its ``__init__`` too, keyed by the class's name."""
     mentions = re.compile(rf"\b({'|'.join(names)})\b")
     found = set()
     for name in lamupsilon.__all__:
         obj = getattr(lamupsilon, name)
         if inspect.isclass(obj):
-            entries = [
+            entries = [(name, obj.__init__)] if constructors else []
+            entries += [
                 (f"{name}.{method}", function)
                 for method, function in inspect.getmembers(
                     obj, lambda value: inspect.isfunction(value) or inspect.ismethod(value)
@@ -437,6 +420,44 @@ def test_records_that_are_not_records_raise_type_error(entry):
         with pytest.raises(TypeError) as raised:
             call(x)
         assert str(raised.value) == f"not a {cls.__name__}: {x!r}", entry
+
+
+#: Every public parameter that takes a collection, keyed by (entry point,
+#: parameter), with what its TypeError says it must be and a call that puts
+#: ``x`` in that parameter and valid values elsewhere.
+COLLECTIONS = {
+    ("find_redexes", "kinds"): ("a list of RuleKind members", lambda x: find_redexes(_TERM, x)),
+    ("run_experiment", "params"): (
+        "a list of parameter names", lambda x: run_experiment(5, 4, 0, x)
+    ),
+    ("export_report", "results"): (
+        "a list of SampleSummary records", lambda x: export_report(x, "csv", io.StringIO())
+    ),
+    ("subterm_at", "position"): ("a tuple of ints", lambda x: subterm_at(_TERM, x)),
+    ("replace_at", "position"): ("a tuple of ints", lambda x: replace_at(_TERM, x, Index(1))),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(COLLECTIONS), ids="-".join)
+def test_collections_that_are_not_iterable_raise_type_error(entry):
+    # each leaked "'int' object is not iterable", which names neither the
+    # parameter nor the value; a string is one item, not a list of them
+    what, call = COLLECTIONS[entry]
+    for x in (5, None, object(), "0"):
+        if x is None and entry == ("find_redexes", "kinds"):
+            continue  # its parameter is Optional: None asks for every rule
+        with pytest.raises(TypeError) as raised:
+            call(x)
+        assert str(raised.value) == f"{entry[1]} must be {what}, not {x!r}", entry
+
+
+def test_the_collection_table_lists_every_collection_parameter():
+    # a new public parameter annotated with a collection has to join
+    # COLLECTIONS or name its reason here
+    exempt = {("export_report", "comparisons"): "a dict of lists, checked in test_stats"}
+    found = _annotated_parameters("Iterable", "Sequence", "Position", "list", "tuple", "dict")
+    listed = COLLECTIONS.keys() | exempt.keys()
+    assert found == listed, sorted(found ^ listed)
 
 
 def test_the_record_table_lists_every_record_parameter():

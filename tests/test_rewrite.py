@@ -457,13 +457,27 @@ def test_len_and_rules_build_no_steps():
 
 
 def test_a_made_trace_adds_no_object_per_step_to_the_collector():
-    # the parent's trace kept a GC-tracked TraceStep per step: 5003 objects here
-    term = parse_term("0" + "[shift]" * 5000)
-    gc.collect()
-    before = len(gc.get_objects())
-    normal, trace = normalize(term, "upsilon", keep_terms=False)
-    assert len(gc.get_objects()) - before < 100
-    assert normal == Index(5000) and len(trace) == 5000
+    # a trace that kept a GC-tracked TraceStep per step held 5003 objects here,
+    # and one that kept every result term half a million on the shorter tower
+    for shifts, keep_terms in ((5000, False), (1000, True)):
+        term = parse_term("0" + "[shift]" * shifts)
+        gc.collect()
+        before = len(gc.get_objects())
+        normal, trace = normalize(term, "upsilon", keep_terms=keep_terms)
+        assert len(gc.get_objects()) - before < 100
+        assert normal == Index(shifts) and len(trace) == shifts
+
+
+def test_a_step_that_does_not_replay_is_an_internal_error(monkeypatch):
+    _, trace = normalize(parse_term("0[shift][shift]"), "upsilon")
+
+    def refuse(term, redex):
+        raise rewrite.InvalidRedex("refused")
+
+    monkeypatch.setattr(rewrite, "apply_at", refuse)
+    with pytest.raises(RuntimeError, match="^step 0 of the trace does not replay: refused$"):
+        trace.steps
+    assert trace.rules == (RuleKind.VARSHIFT, RuleKind.VARSHIFT)
 
 
 def test_bigstep_oracle_agrees_on_all_small_terms():

@@ -413,6 +413,30 @@ def test_tolerance_mode_validation():
         Tolerance("sigma", 3)
 
 
+@pytest.mark.parametrize("value", ["3", None, True, [1]])
+def test_tolerance_rejects_a_value_that_is_not_a_real_number(value):
+    # "3" and None leaked an operator's TypeError from compare_to_reference,
+    # and True served as 1
+    with pytest.raises(TypeError) as raised:
+        Tolerance("abs", value)
+    assert str(raised.value) == f"tolerance value must be a real number, not {value!r}"
+
+
+@pytest.mark.parametrize(
+    "value, must",
+    [(math.nan, "finite"), (math.inf, "finite"), (10**400, "finite"),
+     (-1, "non-negative"), (-0.5, "non-negative")],
+    ids=["nan", "inf", "int", "minus-one", "minus-half"],
+)
+def test_tolerance_rejects_a_value_that_is_not_finite_and_non_negative(value, must):
+    # NaN and a negative value gave verdict=False, whatever the error
+    with pytest.raises(ValueError) as raised:
+        Tolerance("se", value)
+    assert str(raised.value) == f"tolerance value must be {must}, not {value!r}"
+    for fine in (0, 0.0, Fraction(1, 2)):
+        assert compare_to_reference(_summary(1.0, 0.25), 1.0, Tolerance("se", fine)).verdict
+
+
 def test_skewness_helpers():
     s = _summary(0.0, 4.0)
     assert standardized_skewness(s) == 0.0
@@ -573,6 +597,22 @@ def test_export_rejects_empty_and_unknown():
     res = run_experiment(5, 10, 0, [ParamKind.BETA])
     with pytest.raises(ValueError):
         export_report(list(res.values()), "xml", io.StringIO())
+
+
+@pytest.mark.parametrize(
+    "comparisons, message",
+    [([1], "comparisons must be a dict of lists, not [1]"),
+     ({"beta": [1]}, "not a ComparisonReport: 1"),
+     ({"beta": 1}, "comparisons['beta'] must be a list, not 1")],
+    ids=["list", "item", "value"],
+)
+def test_export_rejects_comparisons_that_are_not_lists_of_reports(comparisons, message, tmp_path):
+    # {"beta": [1]} leaked asdict's TypeError, and [1] was ignored
+    for format in ("json", "csv"):
+        path = tmp_path / f"report.{format}"
+        with pytest.raises(TypeError) as raised:
+            export_report([_summary(1.0, 0.25)], format, path, comparisons)
+        assert str(raised.value) == message and not path.exists()
 
 
 def test_export_io_errors_surface(tmp_path):
