@@ -80,8 +80,6 @@ def _read_term_text(args) -> str | None:
 
 
 def _cmd_count(args) -> int:
-    if args.max_size < 1:
-        return _usage_error("--max-size must be at least 1")
     # one forward pass: the substitutions of size n number C(0) + ... + C(n-1);
     # terms of size n number C(n), n >= 1
     partial_sum = 0
@@ -93,10 +91,6 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    if args.size < 1:
-        return _usage_error("--size must be at least 1")
-    if args.count < 1:
-        return _usage_error("--count must be at least 1")
     try:
         rendered = [
             render_term(sample_term(args.size, Rng.derived(args.seed, i)))
@@ -144,10 +138,6 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    if args.size < 1:
-        return _usage_error("--size must be at least 1")
-    if args.samples < 2:
-        return _usage_error("--samples must be at least 2")
     params = [name for name in map(str.strip, args.params.split(",")) if name]
     try:
         summaries = run_experiment(args.size, args.samples, args.seed, params)
@@ -164,8 +154,6 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_expect(args) -> int:
-    if args.size < 1:
-        return _usage_error("--size must be at least 1")
     value = expected_param_exact(ParamKind(args.param), args.size)
     num, den = _int_text(value.numerator), _int_text(value.denominator)
     print(num if den == "1" else f"{num}/{den}")
@@ -174,8 +162,6 @@ def _cmd_expect(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.max_size is not None and args.max_size < 1:
-        return _usage_error("--max-size must be at least 1")
     suite = SUITES[args.suite]
     results = suite() if args.max_size is None else suite(args.max_size)
     failed = 0
@@ -198,8 +184,17 @@ _COMMANDS = {
 }
 
 
+#: The least value of each bounded integer option by command, checked in order.
+_LEAST = {"count": {"max_size": 1}, "sample": {"size": 1, "count": 1},
+          "stats": {"size": 1, "samples": 2}, "expect": {"size": 1}, "verify": {"max_size": 1}}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    for option, least in _LEAST.get(args.command, {}).items():
+        value = getattr(args, option)
+        if value is not None and value < least:
+            return _usage_error(f"--{option.replace('_', '-')} must be at least {least}")
     return _COMMANDS[args.command](args)
 
 

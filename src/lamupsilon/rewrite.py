@@ -118,6 +118,10 @@ class Trace:
 
     steps: tuple[TraceStep, ...]
 
+    def __post_init__(self):  # not run by _compact_trace, which bypasses __init__
+        steps = _iterable("steps", self.steps, "a tuple of TraceStep records")
+        object.__setattr__(self, "steps", tuple(_member(TraceStep, step) for step in steps))
+
     def __getattr__(self, name: str):
         # reached only while ``steps`` is unset, so on a trace from _compact_trace
         if name != "steps" or "_record" not in self.__dict__:
@@ -212,10 +216,10 @@ def apply_at(term: Term, redex: Redex) -> Term:
     """Apply ``redex`` to ``term``; raises InvalidRedex on mismatch."""
     _member(Redex, redex)
     try:
-        *spine, node = _walk(term, redex.position)
+        (*spine, node), position = _walk(term, redex.position)
     except ValueError:
         raise InvalidRedex(f"no node at position {redex.position!r}") from None
-    return _rebuild(spine, redex.position, rewrite_root(node, redex.kind))
+    return _rebuild(spine, position, rewrite_root(node, redex.kind))
 
 
 def find_redexes(term: Term, kinds: Optional[Iterable[RuleKind]] = None) -> list[Redex]:

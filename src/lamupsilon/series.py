@@ -41,7 +41,7 @@ from itertools import count, islice
 from operator import mul
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from . import _int, _member
+from . import _int, _iterable, _member
 
 if TYPE_CHECKING:
     from .rewrite import RuleKind
@@ -64,7 +64,7 @@ class Series:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs = tuple(coeffs)
+        self.coeffs = tuple(_iterable("coeffs", coeffs, "an iterable of coefficients"))
         if not self.coeffs:
             raise ValueError("a series needs at least the constant coefficient")
 

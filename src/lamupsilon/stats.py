@@ -14,6 +14,9 @@ from.  ``count_all_redexes``, ``unsuspended_constructors`` and
 ``has_nested_substitution`` on ``sample_term``'s term stay public as the
 oracle it is tested against, and closures are classified by the
 rewriter's own ``_closure_rule``.
+
+The three records check their fields when built, by annotation (``_Record``);
+``import_summaries`` builds them and raises their messages as ValueError.
 """
 
 from __future__ import annotations
@@ -77,8 +80,27 @@ def round12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
+#: The class a record field of each annotation must have, and its name (a float: ``_real``).
+_FIELD_TYPES = {"str": (str, "a string"), "int": (int, "an integer"), "bool": (bool, "a bool")}
+
+
+class _Record:
+    """Checks each field of a stats record by its annotation, then the record's
+    own ``_bounds``; messages name a field after ``_label``, else the class name."""
+
+    def __post_init__(self):
+        label = getattr(self, "_label", self.__class__.__name__)
+        for name, field in self.__dataclass_fields__.items():
+            value, what = getattr(self, name), f"{label} {name}"
+            if field.type == "float":  # a zero reference gives an infinite rel_err
+                object.__setattr__(self, name, _real(what, value, name == "rel_err"))
+            elif value.__class__ is not _FIELD_TYPES[field.type][0]:
+                raise TypeError(f"{what} must be {_FIELD_TYPES[field.type][1]}, not {value!r}")
+        self._bounds()
+
+
 @dataclass(frozen=True)
-class SampleSummary:
+class SampleSummary(_Record):
     """Empirical statistics of one parameter at one size."""
 
     param: str
@@ -91,9 +113,16 @@ class SampleSummary:
     max: int
     third_central_moment: float  # divisor m
 
+    def _bounds(self):
+        for name, least in (("samples", 2), ("variance", 0)):
+            value = getattr(self, name)
+            if _real(f"SampleSummary {name}", value) < least:
+                raise ValueError(f"SampleSummary {name} must be at least {least}, not {value}")
+        _param_name(self.param)
+
 
 @dataclass(frozen=True)
-class Tolerance:
+class Tolerance(_Record):
     """Acceptance band: absolute, relative, or k standard errors.  ``value``
     is a real number (TypeError for anything else, a bool included) that is
     finite and non-negative (ValueError otherwise)."""
@@ -101,15 +130,17 @@ class Tolerance:
     mode: str  # "abs" | "rel" | "se"
     value: float
 
-    def __post_init__(self):
+    _label = "tolerance"
+
+    def _bounds(self):
         if self.mode not in ("abs", "rel", "se"):
             raise ValueError(f"unknown tolerance mode {self.mode!r}")
-        if _real("tolerance value", self.value) < 0:
+        if self.value < 0:
             raise ValueError(f"tolerance value must be non-negative, not {self.value!r}")
 
 
 @dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(_Record):
     """Outcome of ``compare_to_reference``: the errors, the tolerance, the verdict."""
 
     observed: float
@@ -120,6 +151,9 @@ class ComparisonReport:
     tolerance_mode: str
     tolerance_value: float
     verdict: bool
+
+    def _bounds(self):
+        Tolerance(self.tolerance_mode, self.tolerance_value)
 
 
 def _param_name(param: ParamName) -> str:
@@ -408,53 +442,35 @@ def export_report(
     return len(data)
 
 
-#: The JSON classes a SampleSummary field of each annotation takes, and their
-#: name: a float field also takes an int, and no field a bool.
-_JSON_TYPES = {"str": ((str,), "a string"), "int": ((int,), "an integer"),
-               "float": ((int, float), "a number")}
-
-
-def _real(name: str, x):
-    """``x``; TypeError unless it is a real number (not a bool), ValueError
-    unless it converts to a finite float."""
+def _real(name: str, x, inf: bool = False):
+    """``x``, as a float unless an int or a float; TypeError unless a real number
+    (not a bool), ValueError unless finite as a float (or, with ``inf``, +inf)."""
     if not isinstance(x, numbers.Real) or x.__class__ is bool:
         raise TypeError(f"{name} must be a real number, not {x!r}")
-    if not _finite(x):
-        raise ValueError(f"{name} must be finite, not {x!r}")
-    return x
-
-
-def _finite(x) -> bool:
-    """Whether the real number ``x`` converts to a finite float."""
     try:
-        return math.isfinite(x)
+        if math.isfinite(x) or inf and x == math.inf:
+            return x if x.__class__ in (int, float) else float(x)
     except OverflowError:  # an int or a fraction too large for a float
-        return False
+        pass
+    raise ValueError(f"{name} must be finite, not {x!r}")
 
 
 def import_summaries(text: str) -> list[SampleSummary]:
-    """Parse summaries back from the JSON export format.  Raises ValueError
-    unless ``text`` is a JSON array of objects that each hold every
-    SampleSummary field, with a value of the field's type, as
-    ``export_report`` writes it: a known ``param``, finite numbers (an int
-    in a float field, and ``samples``, converts to a finite float), at least
-    two ``samples`` and no negative ``variance``.  Other keys, such as
-    ``comparisons``, are ignored."""
+    """Parse summaries back from the JSON export format.  ``text`` is a str
+    or bytes (TypeError otherwise).  Raises ValueError unless it is a JSON
+    array of objects that each hold every SampleSummary field, with a value
+    that ``SampleSummary`` accepts, and with its text: ``export_report``
+    writes only such values.  Other keys, such as ``comparisons``, are
+    ignored."""
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise TypeError(f"text must be a str or bytes, not {text!r}")
     rows = json.loads(text)
     fields = SampleSummary.__dataclass_fields__
     if rows.__class__ is not list or not all(
         row.__class__ is dict and row.keys() >= fields.keys() for row in rows
     ):
         raise ValueError("not a JSON array of objects with every SampleSummary field")
-    for row in rows:
-        for name, field in fields.items():
-            classes, what = _JSON_TYPES[field.type]
-            if row[name].__class__ not in classes:
-                raise ValueError(f"SampleSummary {name} must be {what}, not {row[name]!r}")
-            if (field.type == "float" or name == "samples") and not _finite(row[name]):
-                raise ValueError(f"SampleSummary {name} must be finite, not {row[name]!r}")
-        for name, least in (("samples", 2), ("variance", 0)):
-            if row[name] < least:
-                raise ValueError(f"SampleSummary {name} must be at least {least}, not {row[name]}")
-        _param_name(row["param"])
-    return [SampleSummary(**{k: row[k] for k in fields}) for row in rows]
+    try:
+        return [SampleSummary(**{k: row[k] for k in fields}) for row in rows]
+    except TypeError as err:
+        raise ValueError(str(err)) from None

@@ -352,22 +352,24 @@ def _preorder(term: Term):
             stack.append((pos + (i,), kids[i]))
 
 
-def _walk(term: Term, position: Position) -> list[Node]:
-    """Nodes along ``position``, root first; raises ValueError on an invalid path."""
+def _walk(term: Term, position: Position) -> tuple[list[Node], Position]:
+    """Nodes along ``position``, root first, and its ordinals as a tuple, read
+    once (it may be an iterator); raises ValueError on an invalid path."""
     path: list[Node] = [_of_sort(term, "Term")]
-    for depth, ordinal in enumerate(_iterable("position", position, "a tuple of ints")):
+    ordinals = tuple(_iterable("position", position, "a tuple of ints"))
+    for depth, ordinal in enumerate(ordinals):
         kids = path[-1]._children()
         if not 0 <= _int("position ordinal", ordinal) < len(kids):
             raise ValueError(
                 f"invalid position {position!r}: no child {ordinal} at depth {depth}"
             )
         path.append(kids[ordinal])
-    return path
+    return path, ordinals
 
 
 def subterm_at(term: Term, position: Position) -> Node:
     """Node at ``position``; raises ValueError on an invalid path."""
-    return _walk(term, position)[-1]
+    return _walk(term, position)[0][-1]
 
 
 def _rebuild(spine: list[Node], ordinals: Position, node: Node) -> Node:
@@ -382,7 +384,7 @@ def _rebuild(spine: list[Node], ordinals: Position, node: Node) -> Node:
 def replace_at(term: Term, position: Position, replacement: Node) -> Term:
     """Copy of ``term`` with the node at ``position`` replaced; TypeError if
     ``replacement`` does not have the sort of its slot."""
-    *spine, _ = _walk(term, position)
+    (*spine, _), position = _walk(term, position)
     if not position:
         return _of_sort(replacement, "Term")
     new = with_child(spine[-1], position[-1], replacement)  # the one check

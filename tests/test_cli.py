@@ -472,3 +472,23 @@ def test_cli_sample_matches_library(capsys):
     _, out, _ = run_cli(capsys, "sample", "--size", "9", "--count", "4", "--seed", "11")
     want = [render_term(sample_term(9, Rng.derived(11, i))) for i in range(4)]
     assert out.strip().splitlines() == want
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["count", "--max-size", "0"], "--max-size must be at least 1"),
+        (["sample", "--size", "0"], "--size must be at least 1"),
+        (["sample", "--size", "3", "--count", "0"], "--count must be at least 1"),
+        (["sample", "--size", "0", "--count", "0"], "--size must be at least 1"),
+        (["stats", "--size", "0", "--samples", "2"], "--size must be at least 1"),
+        (["stats", "--size", "3", "--samples", "1"], "--samples must be at least 2"),
+        (["expect", "--param", "beta", "--size", "0"], "--size must be at least 1"),
+        (["verify", "--suite", "catalan", "--max-size", "0"], "--max-size must be at least 1"),
+        (["normalize", "--term", "0", "--max-steps", "-1"], "--max-steps must be non-negative"),
+    ],
+    ids=lambda x: " ".join(x) if isinstance(x, list) else "",
+)
+def test_option_bounds_give_their_message_byte_for_byte(capsys, argv, message):
+    # with two bad options, the first one in the command's table is named
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")

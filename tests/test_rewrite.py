@@ -36,9 +36,11 @@ from lamupsilon import (
     normalize,
     parse_term,
     render_term,
+    replace_at,
     sample_term,
     size,
     size_sub,
+    subterm_at,
     trace_to_json,
     unsuspended_constructors,
 )
@@ -710,3 +712,31 @@ def test_upsilon_confluence_small_scope():
             forms = upsilon_normal_forms_all_orders(t)
             normal, _ = normalize(t, "upsilon", keep_terms=False)
             assert forms == {normal}
+
+
+def test_a_position_may_be_read_once():
+    # replace_at and apply_at walked an iterator to its end and then indexed
+    # it: "'list_iterator' object is not subscriptable"
+    t = parse_term("(\\0)[0/] 0")
+    for position in ((0,), [0], iter([0])):
+        assert subterm_at(t, position) == Closure(Abs(Index(0)), Slash(Index(0)))
+    for position in ((0,), [0], iter([0])):
+        assert replace_at(t, position, Index(1)) == parse_term("1 0")
+    for position in ((0,), [0], iter([0])):
+        assert apply_at(t, Redex(position, RuleKind.LAMBDA)) == parse_term("(\\0[lift(0/)]) 0")
+
+
+@pytest.mark.parametrize(
+    "steps, message",
+    [(5, "steps must be a tuple of TraceStep records, not 5"),
+     ([1], "not a TraceStep: 1"),
+     ((TraceStep(RuleKind.BETA, (), None), None), "not a TraceStep: None")],
+    ids=["int", "list-of-int", "tuple-with-none"],
+)
+def test_a_trace_checks_its_steps_when_built(steps, message):
+    # len(Trace(5)) and trace_to_json(Trace([1])) leaked a TypeError of len or of unpacking
+    with pytest.raises(TypeError) as raised:
+        Trace(steps)
+    assert str(raised.value) == message
+    step = TraceStep(RuleKind.BETA, (), Index(0))
+    assert Trace([step]) == Trace((step,)) and Trace([step]).steps == (step,)

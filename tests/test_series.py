@@ -338,3 +338,12 @@ def test_names_that_are_not_param_kinds_raise_type_error():
             total_param_bruteforce("beta", n)
     assert param_value(term, ParamKind.BETA) == 1
 
+
+
+def test_a_series_takes_an_iterable_of_coefficients():
+    # Series(5) leaked "'int' object is not iterable"; a string is one item
+    for coeffs in (5, None, "12"):
+        with pytest.raises(TypeError) as raised:
+            Series(coeffs)
+        assert str(raised.value) == f"coeffs must be an iterable of coefficients, not {coeffs!r}"
+    assert Series(iter([1, 2])) == Series((1, 2)) == Series([1, 2])

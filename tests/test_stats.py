@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -637,3 +638,113 @@ def test_decimals_use_twelve_significant_digits():
     s = res["lambda"]
     assert s.mean == float(f"{s.mean:.12g}")
     assert s.variance == float(f"{s.variance:.12g}")
+
+
+#: Wrong values for a stats record field of each annotation: the value, the
+#: error it raises and what the message says the field must be.
+_WRONG_BY_ANNOTATION = {
+    "str": [(1, TypeError, "a string"), (None, TypeError, "a string")],
+    "int": [("x", TypeError, "an integer"), (True, TypeError, "an integer"),
+            (7.0, TypeError, "an integer")],
+    "bool": [(1, TypeError, "a bool"), (None, TypeError, "a bool")],
+    "float": [("0.5", TypeError, "a real number"), (False, TypeError, "a real number"),
+              (math.nan, ValueError, "finite"), (10**400, ValueError, "finite")],
+}
+
+
+def test_every_stats_record_field_is_checked_when_built():
+    # SampleSummary and ComparisonReport checked nothing, so a bad field leaked
+    # an operator's or json's error later; import_summaries kept a copy of the
+    # checks, and Tolerance a third
+    from lamupsilon import stats
+    from lamupsilon.stats import _FIELD_TYPES
+
+    summary = _summary(1.0, 0.25)
+    valid = {SampleSummary: summary, Tolerance: Tolerance("se", 3),
+             ComparisonReport: compare_to_reference(summary, 1.0, Tolerance("se", 3))}
+    records = {obj for name, obj in vars(stats).items() if not name.startswith("_")
+               and dataclasses.is_dataclass(obj) and obj.__module__ == stats.__name__}
+    assert records == valid.keys()
+    for cls, record in valid.items():
+        label = "tolerance" if cls is Tolerance else cls.__name__
+        for name, field in cls.__dataclass_fields__.items():
+            assert field.type in _FIELD_TYPES or field.type == "float", (cls, name)
+            for value, error, must in _WRONG_BY_ANNOTATION[field.type]:
+                message = f"{label} {name} must be {must}, not {value!r}"
+                with pytest.raises(error) as raised:
+                    dataclasses.replace(record, **{name: value})
+                assert str(raised.value) == message
+                if cls is SampleSummary:  # the same text, as import_summaries's ValueError
+                    text = json.dumps([{**dataclasses.asdict(record), name: value}])
+                    with pytest.raises(ValueError) as imported:
+                        import_summaries(text)
+                    assert str(imported.value) == message
+
+
+def test_records_refuse_at_construction_what_leaked_later():
+    # standard_error leaked "unsupported operand type(s) for /: 'float' and 'str'"
+    with pytest.raises(TypeError) as raised:
+        standard_error(SampleSummary("beta", True, "2", 0, 0.5, 0.25, 0, 1, 0.0))
+    assert str(raised.value) == "SampleSummary size must be an integer, not True"
+    with pytest.raises(TypeError) as raised:
+        ComparisonReport(1.0, 1.0, 0.0, "x", 0.1, "se", 3, True)
+    assert str(raised.value) == "ComparisonReport rel_err must be a real number, not 'x'"
+    for changes, message in [
+        ({"samples": 1}, "SampleSummary samples must be at least 2, not 1"),
+        ({"samples": 10**400}, f"SampleSummary samples must be finite, not {10**400!r}"),
+        ({"variance": -0.5}, "SampleSummary variance must be at least 0, not -0.5"),
+        ({"param": "bogus"}, "unknown parameter 'bogus'"),
+    ]:
+        with pytest.raises(ValueError) as raised:
+            dataclasses.replace(_summary(1.0, 0.25), **changes)
+        assert str(raised.value) == message
+    report = compare_to_reference(_summary(1.0, 0.25), 1.0, Tolerance("se", 3))
+    for changes, message in [
+        ({"tolerance_mode": "sigma"}, "unknown tolerance mode 'sigma'"),
+        ({"tolerance_value": -1}, "tolerance value must be non-negative, not -1"),
+    ]:
+        with pytest.raises(ValueError) as raised:
+            dataclasses.replace(report, **changes)
+        assert str(raised.value) == message
+
+
+def test_only_rel_err_may_be_infinite(tmp_path):
+    # a zero reference gives an infinite rel_err, which export_report writes as null
+    report = ComparisonReport(1.0, 0.0, 1.0, math.inf, 0.1, "se", 3, True)
+    path = tmp_path / "report.json"
+    export_report([_summary(1.0, 0.25)], "json", path, {"beta": [report]})
+    assert json.loads(path.read_text())[0]["comparisons"][0]["rel_err"] is None
+    for changes in ({"rel_err": -math.inf}, {"rel_err": math.nan}, {"abs_err": math.inf}):
+        ((name, value),) = changes.items()
+        with pytest.raises(ValueError) as raised:
+            dataclasses.replace(report, **changes)
+        assert str(raised.value) == f"ComparisonReport {name} must be finite, not {value!r}"
+
+
+def test_a_real_field_that_is_no_int_or_float_is_stored_as_a_float():
+    # Tolerance("se", Fraction(1, 2)) and a Fraction mean made export_report
+    # leak "Object of type Fraction is not JSON serializable"
+    tolerance = Tolerance("se", Fraction(1, 2))
+    assert tolerance == Tolerance("se", 0.5) and tolerance.value.__class__ is float
+    summary = dataclasses.replace(_summary(1.0, 0.25), mean=Fraction(1, 2))
+    assert summary == _summary(0.5, 0.25) and summary.mean.__class__ is float
+    report = compare_to_reference(summary, 0.5, tolerance)
+    buf = io.StringIO()
+    export_report([summary], "json", buf, comparisons={"beta": [report]})
+    (row,) = json.loads(buf.getvalue())
+    assert row["mean"] == 0.5 and row["comparisons"][0]["tolerance_value"] == 0.5
+    # an int is kept, so the export-import round trip stays exact
+    assert Tolerance("se", 3).value.__class__ is int
+    assert _summary(10**300, 0.25).mean == 10**300
+
+
+@pytest.mark.parametrize("text", [5, None, ["[]"]])
+def test_import_takes_text(text):
+    # import_summaries(5) leaked json's "the JSON object must be str, bytes or
+    # bytearray, not int", which names no parameter
+    with pytest.raises(TypeError) as raised:
+        import_summaries(text)
+    assert str(raised.value) == f"text must be a str or bytes, not {text!r}"
+    buf = io.StringIO()
+    export_report([_summary(1.0, 0.25)], "json", buf)
+    assert import_summaries(buf.getvalue().encode()) == [_summary(1.0, 0.25)]
