@@ -120,7 +120,11 @@ class Trace:
 
     def __post_init__(self):  # not run by _compact_trace, which bypasses __init__
         steps = _iterable("steps", self.steps, "a tuple of TraceStep records")
-        object.__setattr__(self, "steps", tuple(_member(TraceStep, step) for step in steps))
+        object.__setattr__(self, "steps", tuple(TraceStep(
+            _member(RuleKind, rule),
+            tuple(_int("position ordinal", k) for k in _iterable("position", position, "a tuple of ints")),
+            result if result is None else _of_sort(result, "Term"),
+        ) for rule, position, result in (_member(TraceStep, step) for step in steps)))
 
     def __getattr__(self, name: str):
         # reached only while ``steps`` is unset, so on a trace from _compact_trace
@@ -297,7 +301,7 @@ def normalize(
     _bound("max_steps", max_steps, None)
     beta = strategy == "full"  # only Beta matches at an App
 
-    start = term if keep_terms else None
+    start = term if _member(bool, keep_terms) else None
     rules: list[RuleKind] = []
     positions: list[bytes] = []  # an ordinal is 0 or 1, and bytes are not GC-tracked
     parents: list[Term] = []  # nodes on the path from the root to the focus

@@ -36,9 +36,9 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partialmethod
 from itertools import count, islice
-from operator import mul
+from operator import add, mul, sub
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from . import _int, _iterable, _member
@@ -100,14 +100,17 @@ class Series:
             raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
         return self.coeffs[n]
 
-    def __add__(self, other: "Series") -> "Series":
-        return Series([a + b for a, b in zip(self.coeffs, other.coeffs)])
+    def __add__(self, other: "Series", op=add) -> "Series":  # op=sub: the difference
+        if not isinstance(other, Series):
+            return NotImplemented
+        return Series(map(op, self.coeffs, other.coeffs))
 
-    def __sub__(self, other: "Series") -> "Series":
-        return Series([a - b for a, b in zip(self.coeffs, other.coeffs)])
+    __sub__ = partialmethod(__add__, op=sub)
 
     def __mul__(self, other: "Series") -> "Series":
         """Cauchy product, skipping the trailing zeros of the sparser factor."""
+        if not isinstance(other, Series):
+            return NotImplemented
         order = min(self.order, other.order)
         a, b = sorted((self.coeffs[: order + 1], other.coeffs[: order + 1]), key=_support)
         a = a[: _support(a)]
@@ -116,6 +119,8 @@ class Series:
     def __truediv__(self, other: "Series") -> "Series":
         """Exact quotient; the divisor needs an invertible constant term, and
         its trailing zeros are skipped."""
+        if not isinstance(other, Series):
+            return NotImplemented
         order = min(self.order, other.order)
         g0, *g_tail = other.coeffs[: _support(other.coeffs[: order + 1])]
         if g0 == 0:

@@ -1,13 +1,20 @@
 import ast
+import copy
 import dataclasses
+import functools
 import inspect
 import io
+import json
+import math
+import operator
 import os
 import pickle
 import re
 import subprocess
 import sys
 import textwrap
+from collections.abc import Iterator
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,7 +25,9 @@ from lamupsilon import (
     Abs,
     App,
     BinTree,
+    Closure,
     Index,
+    Lift,
     ParamKind,
     Redex,
     Rng,
@@ -28,6 +37,7 @@ from lamupsilon import (
     Slash,
     Tolerance,
     Trace,
+    TraceStep,
     apply_at,
     catalan,
     compare_to_reference,
@@ -42,6 +52,7 @@ from lamupsilon import (
     export_report,
     find_redexes,
     has_nested_substitution,
+    import_summaries,
     is_pure,
     is_strict_form_bounded,
     iter_subterms,
@@ -49,6 +60,7 @@ from lamupsilon import (
     node_count,
     normalize,
     param_value,
+    parse_term,
     phi,
     phi_inv,
     remy_tree,
@@ -66,6 +78,7 @@ from lamupsilon import (
     subterm_at,
     total_param_bruteforce,
     trace_to_json,
+    tree_from_json,
     tree_to_json,
     unsuspended_constructors,
 )
@@ -180,199 +193,6 @@ def test_modules_import_only_the_standard_library():
                 assert name.partition(".")[0] in allowed, f"{source.name} imports {name}"
 
 
-_TERM = App(Abs(Index(0)), Index(0))
-
-#: Every public parameter that takes an int or an enum member, keyed by
-#: (entry point, parameter), with a call that puts ``x`` in that parameter
-#: and valid values elsewhere.  A class's own key is its name.
-ARGUMENTS = {
-    ("Index", "n"): Index,
-    ("Rng", "seed"): Rng,
-    ("Rng.derived", "seed"): lambda x: Rng.derived(x, 0),
-    ("Rng.derived", "index"): lambda x: Rng.derived(0, x),
-    ("Rng.below", "bound"): lambda x: Rng(0).below(x),
-    ("sample_term", "n"): lambda x: sample_term(x, Rng(0)),
-    ("remy_tree", "n"): lambda x: remy_tree(x, Rng(0)),
-    ("enumerate_trees", "n"): lambda x: enumerate_trees(n=x),
-    ("catalan", "n"): catalan,
-    ("count_terms", "n"): count_terms,
-    ("count_substs", "n"): count_substs,
-    ("solve_core_series", "order"): lambda x: solve_core_series(order=x),
-    ("solve_restricted_series", "order"): lambda x: solve_restricted_series(order=x),
-    ("enumerate_terms", "n"): enumerate_terms,
-    ("enumerate_terms", "max_size"): lambda x: enumerate_terms(2, x),
-    ("enumerate_substs", "n"): enumerate_substs,
-    ("enumerate_substs", "max_size"): lambda x: enumerate_substs(2, x),
-    ("expected_param_exact", "param"): lambda x: expected_param_exact(x, 4),
-    ("expected_param_exact", "n"): lambda x: expected_param_exact(ParamKind.BETA, x),
-    ("nested_free_fraction", "n"): nested_free_fraction,
-    ("param_value", "param"): lambda x: param_value(_TERM, x),
-    ("total_param_bruteforce", "param"): lambda x: total_param_bruteforce(x, 3),
-    ("total_param_bruteforce", "n"): lambda x: total_param_bruteforce(ParamKind.BETA, x),
-    ("total_param_bruteforce", "max_size"): (
-        lambda x: total_param_bruteforce(ParamKind.BETA, 3, x)
-    ),
-    ("run_experiment", "n"): lambda x: run_experiment(x, 4, 0, [ParamKind.BETA]),
-    ("run_experiment", "m"): lambda x: run_experiment(3, x, 0, [ParamKind.BETA]),
-    ("run_experiment", "seed"): lambda x: run_experiment(3, 4, x, [ParamKind.BETA]),
-    ("run_experiment", "workers"): (
-        lambda x: run_experiment(3, 4, 0, [ParamKind.BETA], workers=x)
-    ),
-    ("count_redexes", "kind"): lambda x: count_redexes(_TERM, x),
-    ("find_redexes", "kinds"): lambda x: find_redexes(_TERM, [x]),
-    ("apply_at", "redex"): lambda x: apply_at(_TERM, Redex((), x)),
-    ("normalize", "max_steps"): lambda x: normalize(_TERM, "full", x),
-    ("is_strict_form_bounded", "max_source_size"): (
-        lambda x: is_strict_form_bounded(Index(0), max_source_size=x)
-    ),
-    ("is_strict_form_bounded", "max_steps"): (
-        lambda x: is_strict_form_bounded(Index(0), max_steps=x)
-    ),
-    ("subterm_at", "position"): lambda x: subterm_at(_TERM, (0, x)),
-    ("replace_at", "position"): lambda x: replace_at(_TERM, (x,), Index(1)),
-    ("Series.one", "order"): Series.one,
-    ("Series.z", "order"): Series.z,
-    ("Series.coefficient", "n"): lambda x: Series.one(3).coefficient(x),
-}
-
-#: The enum that the TypeError names for a kind parameter.
-_KINDS = {"param": ParamKind, "kind": RuleKind, "kinds": RuleKind, "redex": RuleKind}
-
-
-def test_int_and_kind_arguments_raise_type_error():
-    # True would otherwise serve n = 1, and a float leaked an internal error
-    # (islice's, or "can't multiply sequence by non-int") or built an index 1.5.
-    # A cached 1 or 2 must not answer for True or 2.0.  A positional call keys
-    # a lone int apart from other classes, a keyword call does not, so the
-    # table calls the cached entry points by keyword, and fills them first.
-    enumerate_trees(n=1), enumerate_trees(n=2)
-    for solve in (solve_core_series, solve_restricted_series):
-        solve(order=1), solve(order=2)
-    for (entry, parameter), call in ARGUMENTS.items():
-        kind = _KINDS.get(parameter)
-        named = f"not a {kind.__name__}: " if kind else rf"\b{parameter}\b.* must be an int, not "
-        for x in (True, 2.0, "3"):
-            with pytest.raises(TypeError) as raised:
-                call(x)
-            message = str(raised.value)
-            assert re.search(named + re.escape(repr(x)) + "$", message), (entry, message)
-    # the class check comes before the range check
-    with pytest.raises(TypeError, match="n must be an int"):
-        sample_term(0.5, Rng(0))
-    with pytest.raises(ValueError):
-        expected_param_exact(ParamKind.BETA, 0)
-    assert count_substs(-1) == count_terms(0) == 0
-
-
-def test_the_argument_table_lists_every_int_and_kind_parameter():
-    # a new public parameter annotated with int, ParamKind or RuleKind has to
-    # join ARGUMENTS, so it cannot skip the class check unnoticed; a class is
-    # read through its __init__ and every public method written in Python
-    records = ("SampleSummary", "ParseError", "Redex")
-    found = _annotated_parameters("int", "ParamKind", "RuleKind", constructors=True)
-    found = {entry for entry in found if entry[0].partition(".")[0] not in records}
-    assert {("enumerate_trees", "n"), ("Rng.derived", "index"), ("Index", "n"),
-            ("Series.coefficient", "n")} <= found
-    assert found <= ARGUMENTS.keys(), sorted(found - ARGUMENTS.keys())
-
-
-#: Every public parameter that takes the root of a term, a substitution or a
-#: skeleton, keyed by (entry point, parameter), with its sort and a call that
-#: puts ``x`` in that parameter and valid values elsewhere.
-ROOTS = {
-    ("normalize", "term"): ("Term", normalize),
-    ("find_redexes", "term"): ("Term", find_redexes),
-    ("count_redexes", "term"): ("Term", lambda x: count_redexes(x, RuleKind.BETA)),
-    ("count_all_redexes", "term"): ("Term", count_all_redexes),
-    ("has_nested_substitution", "term"): ("Term", has_nested_substitution),
-    ("unsuspended_constructors", "term"): ("Term", unsuspended_constructors),
-    ("is_strict_form_bounded", "term"): ("Term", is_strict_form_bounded),
-    ("param_value", "term"): ("Term", lambda x: param_value(x, ParamKind.BETA)),
-    ("apply_at", "term"): ("Term", lambda x: apply_at(x, Redex((), RuleKind.BETA))),
-    ("is_pure", "term"): ("Term", is_pure),
-    ("iter_subterms", "term"): ("Term", iter_subterms),  # checked at the call
-    ("subterm_at", "term"): ("Term", lambda x: subterm_at(x, ())),
-    ("replace_at", "term"): ("Term", lambda x: replace_at(x, (), Index(1))),
-    ("replace_at", "replacement"): ("Term", lambda x: replace_at(_TERM, (), x)),
-    ("render_term", "term"): ("Term", render_term),
-    ("phi_inv", "term"): ("Term", phi_inv),
-    ("size", "term"): ("Node", size),
-    ("size_sub", "sub"): ("Subst", size_sub),
-    ("render_subst", "sub"): ("Subst", render_subst),
-    ("phi", "tree"): ("BinTree", phi),
-    ("node_count", "tree"): ("BinTree", node_count),
-    ("tree_to_json", "tree"): ("BinTree", tree_to_json),
-}
-
-#: Roots that no entry of a sort takes, each with the start of its error: a
-#: node of the other sort, then values that are no node at all.  ``Node`` is
-#: either sort, so only the values that are no node are wrong for it.
-_NO_NODE = [(x, "not a lambda-upsilon node: ") for x in (object(), None, BinTree())]
-_WRONG_ROOTS = {
-    "Term": [(SHIFT, "not a term: "), (Slash(Index(0)), "not a term: "), *_NO_NODE],
-    "Subst": [(Index(0), "not a substitution: "), (Abs(Index(0)), "not a substitution: "),
-              *_NO_NODE],
-    "Node": _NO_NODE,
-    "BinTree": [(x, "not a BinTree: ") for x in (Index(0), SHIFT, object(), None)],
-}
-
-
-@pytest.mark.parametrize("entry", sorted(ROOTS), ids="-".join)
-def test_roots_of_the_wrong_sort_raise_type_error(entry):
-    # the constructors check every child, so a root is the one node that
-    # can be of the wrong sort; each entry checks it before its walk
-    sort, call = ROOTS[entry]
-    for x, message in _WRONG_ROOTS[sort]:
-        if x is None and entry == ("tree_to_json", "tree"):
-            assert call(x) is None  # its parameter is Optional
-            continue
-        with pytest.raises(TypeError) as raised:
-            call(x)
-        assert str(raised.value) == message + repr(x), (entry, x)
-
-
-def _annotated_parameters(*names: str, constructors: bool = False) -> set:
-    """(entry point, parameter) of each public parameter whose annotation
-    names one of ``names``; a class counts by its public methods, and with
-    ``constructors`` by its ``__init__`` too, keyed by the class's name."""
-    mentions = re.compile(rf"\b({'|'.join(names)})\b")
-    found = set()
-    for name in lamupsilon.__all__:
-        obj = getattr(lamupsilon, name)
-        if inspect.isclass(obj):
-            entries = [(name, obj.__init__)] if constructors else []
-            entries += [
-                (f"{name}.{method}", function)
-                for method, function in inspect.getmembers(
-                    obj, lambda value: inspect.isfunction(value) or inspect.ismethod(value)
-                )
-                if not method.startswith("_")
-            ]
-        elif inspect.isroutine(obj):
-            entries = [(name, obj)]
-        else:
-            continue
-        for entry, function in entries:
-            for parameter in inspect.signature(function).parameters.values():
-                if mentions.search(str(parameter.annotation)):
-                    found.add((entry, parameter.name))
-    return found
-
-
-def test_the_root_table_lists_every_term_subst_and_skeleton_parameter():
-    # a new public parameter annotated with a sort or a skeleton has to join
-    # ROOTS or name its reason here, so it cannot skip the root check
-    # unnoticed.  A class counts by its public methods: a constructor takes
-    # children, which test_ill_sorted_children_raise_type_error and
-    # test_skeleton_children_must_be_skeletons cover.
-    exempt = {
-        ("match_redex", "term"): "a predicate: None off the redexes, whatever the value",
-    }
-    found = _annotated_parameters("Term", "Subst", "Node", "BinTree")
-    assert {("replace_at", "replacement"), ("render_subst", "sub"), ("phi", "tree")} <= found
-    assert found == ROOTS.keys() | exempt.keys(), sorted(found ^ (ROOTS.keys() | exempt.keys()))
-
-
 def test_index_is_the_only_node_class_with_its_own_post_init():
     # every other term, substitution and skeleton class checks its children
     # in _Node.__post_init__, which reads each sort from the one table
@@ -386,83 +206,316 @@ def test_index_is_the_only_node_class_with_its_own_post_init():
     assert [cls.__name__ for cls in classes if "__post_init__" in vars(cls)] == ["Index"]
 
 
+_TERM = App(Abs(Index(0)), Index(0))
+_STEP = TraceStep(RuleKind.BETA, (), _TERM)
 _SUMMARY = SampleSummary("beta", 5, 10, 0, 0.5, 0.25, 0, 1, 0.0)
+_SE3, _BETA = Tolerance("se", 3), [ParamKind.BETA]
 
-#: Every public parameter that takes a record (a ``Rng``, ``Redex``,
-#: ``Trace``, ``SampleSummary`` or ``Tolerance``), keyed by (entry point,
-#: parameter), with its class and a call that puts ``x`` in that parameter
-#: (an item of it, for a sequence) and valid values elsewhere.
-RECORDS = {
-    ("sample_term", "rng"): (Rng, lambda x: sample_term(5, x)),
-    ("remy_tree", "rng"): (Rng, lambda x: remy_tree(5, x)),
-    ("apply_at", "redex"): (Redex, lambda x: apply_at(_TERM, x)),
-    ("trace_to_json", "trace"): (Trace, trace_to_json),
-    ("standard_error", "summary"): (SampleSummary, standard_error),
-    ("standardized_skewness", "summary"): (SampleSummary, standardized_skewness),
+
+def _cached(function, name: str):
+    """A call of the cached ``function`` by keyword, after 1 and 2 are cached:
+    a positional call keys a lone int apart from other classes, a keyword call
+    does not, so a cached 1 or 2 must not answer for True or 2.0."""
+    def call(x):
+        function(**{name: 1}), function(**{name: 2})
+        return function(**{name: x})
+    return call
+
+
+def _fields(*records, label=None):
+    """A row per field of each record, a node or a stats record, that rebuilds
+    it with ``x`` in the field; its key is read off the field's annotation,
+    and its messages name the field after ``label`` (default: the class)."""
+    return {
+        (record.__class__.__name__, field.name): (
+            "real" if field.type == "float" else f"{field.type} field",
+            lambda x, record=record, name=field.name: dataclasses.replace(record, **{name: x}),
+            f"{label or record.__class__.__name__} {field.name}",
+        )
+        for record in records for field in dataclasses.fields(record)
+    }
+
+
+#: Every public parameter and field, keyed by (entry point, parameter): the
+#: key of its wrong values in ``WRONG``, a call that puts ``x`` in that
+#: parameter and valid values elsewhere, and what its messages call it when
+#: that is not the parameter's name.  A class's own key is its name; a call of
+#: ``export_report`` also takes its destination, ``to``.
+CONTRACT = {
+    **_fields(Abs(Index(0)), App(Index(0), Index(1)), Closure(Index(0), SHIFT), Slash(Index(2)),
+              Lift(SHIFT), BinTree()),
+    ("Index", "n"): ("int", Index, "de Bruijn index n"),
+    ("size", "term"): ("Node", size),
+    ("size_sub", "sub"): ("Subst", size_sub),
+    ("is_pure", "term"): ("Term", is_pure),
+    ("iter_subterms", "term"): ("Term", iter_subterms),  # checked at the call
+    ("subterm_at", "term"): ("Term", lambda x: subterm_at(x, ())),
+    ("subterm_at", "position"): ("position", lambda x: subterm_at(_TERM, x)),
+    ("replace_at", "term"): ("Term", lambda x: replace_at(x, (), Index(1))),
+    ("replace_at", "position"): ("position", lambda x: replace_at(_TERM, x, Index(1))),
+    ("replace_at", "replacement"): ("Term", lambda x: replace_at(_TERM, (), x)),
+    ("parse_term", "text"): ("str text", parse_term),
+    ("render_term", "term"): ("Term", render_term),
+    ("render_subst", "sub"): ("Subst", render_subst),
+    ("RuleKind", "value"): ("RuleKind value", RuleKind),
+    ("Redex", "position"): (
+        "position", lambda x: apply_at(App(_TERM, _TERM), Redex(x, RuleKind.BETA))
+    ),
+    ("Redex", "kind"): ("RuleKind", lambda x: apply_at(_TERM, Redex((), x))),
+    ("TraceStep", "rule"): ("RuleKind", lambda x: Trace((_STEP._replace(rule=x),))),
+    ("TraceStep", "position"): ("position", lambda x: Trace((_STEP._replace(position=x),))),
+    ("TraceStep", "result"): ("Optional[Term]", lambda x: Trace((_STEP._replace(result=x),))),
+    ("Trace", "steps"): ("steps", Trace),
+    ("trace_to_json", "trace"): ("Trace", trace_to_json),
+    ("apply_at", "term"): ("Term", lambda x: apply_at(x, Redex((), RuleKind.BETA))),
+    ("apply_at", "redex"): ("Redex", lambda x: apply_at(_TERM, x)),
+    ("find_redexes", "term"): ("Term", find_redexes),
+    ("find_redexes", "kinds"): ("kinds", lambda x: find_redexes(_TERM, x)),
+    ("count_redexes", "term"): ("Term", lambda x: count_redexes(x, RuleKind.BETA)),
+    ("count_redexes", "kind"): ("RuleKind", lambda x: count_redexes(_TERM, x)),
+    ("count_all_redexes", "term"): ("Term", count_all_redexes),
+    ("has_nested_substitution", "term"): ("Term", has_nested_substitution),
+    ("unsuspended_constructors", "term"): ("Term", unsuspended_constructors),
+    ("is_strict_form_bounded", "term"): ("Term", is_strict_form_bounded),
+    ("is_strict_form_bounded", "max_source_size"): (
+        "int", lambda x: is_strict_form_bounded(Index(0), max_source_size=x)
+    ),
+    ("is_strict_form_bounded", "max_steps"): (
+        "int", lambda x: is_strict_form_bounded(Index(0), max_steps=x)
+    ),
+    ("normalize", "term"): ("Term", normalize),
+    ("normalize", "strategy"): ("choice", lambda x: normalize(_TERM, x)),
+    ("normalize", "max_steps"): ("int", lambda x: normalize(_TERM, "full", x)),
+    ("normalize", "keep_terms"): ("bool", lambda x: normalize(_TERM, keep_terms=x)),
+    ("phi", "tree"): ("BinTree", phi),
+    ("phi_inv", "term"): ("Term", phi_inv),
+    ("node_count", "tree"): ("BinTree", node_count),
+    ("tree_to_json", "tree"): ("Optional[BinTree]", tree_to_json),
+    # its message speaks of the data as its nodes
+    ("tree_from_json", "data"): ("JSON tree", tree_from_json, "node"),
+    ("enumerate_trees", "n"): ("int", _cached(enumerate_trees, "n")),
+    ("Rng", "seed"): ("int", Rng),
+    ("Rng.derived", "seed"): ("int", lambda x: Rng.derived(x, 0)),
+    ("Rng.derived", "index"): ("int", lambda x: Rng.derived(0, x)),
+    ("Rng.below", "bound"): ("int", lambda x: Rng(0).below(x)),
+    ("remy_tree", "n"): ("int", lambda x: remy_tree(x, Rng(0))),
+    ("remy_tree", "rng"): ("Rng", lambda x: remy_tree(5, x)),
+    ("sample_term", "n"): ("int", lambda x: sample_term(x, Rng(0))),
+    ("sample_term", "rng"): ("Rng", lambda x: sample_term(5, x)),
+    ("Series", "coeffs"): ("coeffs", Series),
+    ("Series.one", "order"): ("int", Series.one),
+    ("Series.z", "order"): ("int", Series.z),
+    ("Series.coefficient", "n"): ("int", lambda x: Series.one(3).coefficient(x)),
+    **{(f"Series.{name}", "other"): ("operand", lambda x, op=op: op(Series.one(2), x), symbol)
+       for name, op, symbol in [("__add__", operator.add, "+"), ("__sub__", operator.sub, "-"),
+                                ("__mul__", operator.mul, "*"),
+                                ("__truediv__", operator.truediv, "/")]},
+    ("ParamKind", "value"): ("ParamKind value", ParamKind),
+    ("catalan", "n"): ("int", catalan),
+    ("count_terms", "n"): ("int", count_terms),
+    ("count_substs", "n"): ("int", count_substs),
+    ("solve_core_series", "order"): ("int", _cached(solve_core_series, "order")),
+    ("solve_restricted_series", "order"): ("int", _cached(solve_restricted_series, "order")),
+    ("enumerate_terms", "n"): ("int", enumerate_terms),
+    ("enumerate_terms", "max_size"): ("int", lambda x: enumerate_terms(2, x)),
+    ("enumerate_substs", "n"): ("int", enumerate_substs),
+    ("enumerate_substs", "max_size"): ("int", lambda x: enumerate_substs(2, x)),
+    ("expected_param_exact", "param"): ("ParamKind", lambda x: expected_param_exact(x, 4)),
+    ("expected_param_exact", "n"): ("int", lambda x: expected_param_exact(ParamKind.BETA, x)),
+    ("nested_free_fraction", "n"): ("int", nested_free_fraction),
+    ("param_value", "term"): ("Term", lambda x: param_value(x, ParamKind.BETA)),
+    ("param_value", "param"): ("ParamKind", lambda x: param_value(_TERM, x)),
+    # at n = 0 there is no term to check the kind on
+    ("total_param_bruteforce", "param"): ("ParamKind", lambda x: total_param_bruteforce(x, 0)),
+    ("total_param_bruteforce", "n"): ("int", lambda x: total_param_bruteforce(ParamKind.BETA, x)),
+    ("total_param_bruteforce", "max_size"): (
+        "int", lambda x: total_param_bruteforce(ParamKind.BETA, 3, x)
+    ),
+    **_fields(_SUMMARY, compare_to_reference(_SUMMARY, 0.5, _SE3)),
+    **_fields(_SE3, label="tolerance"),
+    ("run_experiment", "n"): ("int", lambda x: run_experiment(x, 4, 0, _BETA)),
+    ("run_experiment", "m"): ("int", lambda x: run_experiment(3, x, 0, _BETA)),
+    ("run_experiment", "seed"): ("int", lambda x: run_experiment(3, 4, x, _BETA)),
+    ("run_experiment", "params"): ("params", lambda x: run_experiment(5, 4, 0, x)),
+    ("run_experiment", "workers"): ("int", lambda x: run_experiment(3, 4, 0, _BETA, workers=x)),
+    ("standard_error", "summary"): ("SampleSummary", standard_error),
+    ("standardized_skewness", "summary"): ("SampleSummary", standardized_skewness),
     ("compare_to_reference", "summary"): (
-        SampleSummary, lambda x: compare_to_reference(x, 0.5, Tolerance("se", 3))
+        "SampleSummary", lambda x: compare_to_reference(x, 0.5, _SE3)
+    ),
+    ("compare_to_reference", "reference"): (
+        "real", lambda x: compare_to_reference(_SUMMARY, x, _SE3)
     ),
     ("compare_to_reference", "tolerance"): (
-        Tolerance, lambda x: compare_to_reference(_SUMMARY, 0.5, x)
+        "Tolerance", lambda x: compare_to_reference(_SUMMARY, 0.5, x)
     ),
-    ("export_report", "results"): (
-        SampleSummary, lambda x: export_report([_SUMMARY, x], "json", io.StringIO())
+    ("export_report", "results"): ("results", lambda x, to: export_report(x, "json", to)),
+    ("export_report", "format"): ("choice", lambda x, to: export_report([_SUMMARY], x, to)),
+    ("export_report", "destination"): (
+        "destination", lambda x, to: export_report([_SUMMARY], "csv", x)
     ),
+    ("export_report", "comparisons"): (
+        "comparisons", lambda x, to: export_report([_SUMMARY], "json", to, x)
+    ),
+    ("import_summaries", "text"): ("JSON text", import_summaries),
 }
 
 
-@pytest.mark.parametrize("entry", sorted(RECORDS), ids="-".join)
-def test_records_that_are_not_records_raise_type_error(entry):
-    # each of these read the record's attributes unchecked, so a tuple, an
-    # int or None leaked an AttributeError
-    cls, call = RECORDS[entry]
-    for x in (((), RuleKind.BETA), 3, None, object()):
-        with pytest.raises(TypeError) as raised:
-            call(x)
-        assert str(raised.value) == f"not a {cls.__name__}: {x!r}", entry
+def _each(error, message: str, *values) -> list:
+    """A (value, error, message) triple per value."""
+    return [(x, error, message) for x in values]
 
 
-#: Every public parameter that takes a collection, keyed by (entry point,
-#: parameter), with what its TypeError says it must be and a call that puts
-#: ``x`` in that parameter and valid values elsewhere.
-COLLECTIONS = {
-    ("find_redexes", "kinds"): ("a list of RuleKind members", lambda x: find_redexes(_TERM, x)),
-    ("run_experiment", "params"): (
-        "a list of parameter names", lambda x: run_experiment(5, 4, 0, x)
-    ),
-    ("export_report", "results"): (
-        "a list of SampleSummary records", lambda x: export_report(x, "csv", io.StringIO())
-    ),
-    ("subterm_at", "position"): ("a tuple of ints", lambda x: subterm_at(_TERM, x)),
-    ("replace_at", "position"): ("a tuple of ints", lambda x: replace_at(_TERM, x, Index(1))),
+_NOT_A_NODE = _each(TypeError, "not a lambda-upsilon node: {x!r}", object(), None, BinTree())
+_NOT_A_TERM = _each(TypeError, "not a term: {x!r}", SHIFT, Slash(Index(0)))
+_NOT_A_BINTREE = _each(TypeError, "not a BinTree: {x!r}", Index(0), SHIFT, object())
+_NODE = "each {} must be an object with 'l' and 'r': "
+
+#: The wrong values of each key: (value, error, message), where the message is
+#: formatted with what the row calls the parameter and with ``x``, the value.
+#: An error of None marks a valid value, with in place of the message a value
+#: that gives the same result.
+WRONG = {
+    "int": _each(TypeError, "{} must be an int, not {x!r}", True, 2.0, "3", 0.5),
+    "bool": _each(TypeError, "not a bool: {x!r}", "no", 2, None),
+    "real": _each(TypeError, "{} must be a real number, not {x!r}", "0.5", False, None)
+    + _each(ValueError, "{} must be finite, not {x!r}", math.nan, 10**400)
+    + [(Fraction(1, 2), None, 0.5)],
+    "choice": _each(ValueError, "unknown {} {x!r}", None, 1, "", b"csv", "xml"),
+    "ParamKind": _each(TypeError, "not a ParamKind: {x!r}", True, 2.0, "3", "beta"),
+    "RuleKind": _each(TypeError, "not a RuleKind: {x!r}", True, 2.0, "3", "Beta", 1),
+    "ParamKind value": _each(ValueError, "{x!r} is not a valid ParamKind", "x", 5, None),
+    "RuleKind value": _each(ValueError, "{x!r} is not a valid RuleKind", "beta", 5, None),
+    "Term": _NOT_A_TERM + _NOT_A_NODE,
+    "Optional[Term]": _NOT_A_TERM + [w for w in _NOT_A_NODE if w[0] is not None],
+    "Subst": _each(TypeError, "not a substitution: {x!r}", Index(0), Abs(Index(0))) + _NOT_A_NODE,
+    "Node": _NOT_A_NODE,
+    "BinTree": _NOT_A_BINTREE + _each(TypeError, "not a BinTree: {x!r}", None),
+    "Optional[BinTree]": _NOT_A_BINTREE,
+    **{cls.__name__: _each(TypeError, f"not a {cls.__name__}: {{x!r}}",
+                           ((), RuleKind.BETA), 3, None, object())
+       for cls in (Rng, Redex, Trace, SampleSummary, Tolerance)},
+    "position": _each(TypeError, "{} must be a tuple of ints, not {x!r}", 5, None, object(), "0")
+    + _each(TypeError, "{} ordinal must be an int, not {x[0]!r}", (True,), (2.0,), ("3",), ("a",))
+    + _each(TypeError, "{} ordinal must be an int, not {x[1]!r}", (0, True), (0, 2.0), (0, "3"))
+    + [([0], None, (0,)), (iter([0]), None, (0,))],
+    "kinds": _each(TypeError, "{} must be a list of RuleKind members, not {x!r}",
+                   5, object(), "0", RuleKind.BETA)
+    + _each(TypeError, "not a RuleKind: {x[0]!r}", [True], [2.0], ["3"])
+    + [(None, None, tuple(RuleKind)), (iter([RuleKind.BETA]), None, (RuleKind.BETA,))],
+    "params": _each(TypeError, "{} must be a list of parameter names, not {x!r}",
+                    5, None, object(), "0")
+    + [(["bogus"], ValueError, "unknown parameter {x[0]!r}"), (iter(["beta"]), None, ("beta",))],
+    "results": _each(TypeError, "{} must be a list of SampleSummary records, not {x!r}",
+                     5, None, object(), "0")
+    + _each(TypeError, "not a SampleSummary: {x[1]!r}",
+            *([_SUMMARY, x] for x in (((), RuleKind.BETA), 3, None, object())))
+    + [(iter([_SUMMARY]), None, (_SUMMARY,))],
+    "steps": [(5, TypeError, "{} must be a tuple of TraceStep records, not {x!r}"),
+              ([1], TypeError, "not a TraceStep: {x[0]!r}"),
+              ((_STEP, None), TypeError, "not a TraceStep: {x[1]!r}"),
+              ([_STEP], None, (_STEP,)), (iter([_STEP]), None, (_STEP,))],
+    "coeffs": _each(TypeError, "{} must be an iterable of coefficients, not {x!r}", 5, None, "12")
+    + [([1, 2], None, (1, 2)), (iter([1, 2]), None, (1, 2))],
+    "comparisons": [([1], TypeError, "{} must be a dict of lists, not {x!r}"),
+                    ({"beta": [1]}, TypeError, "not a ComparisonReport: {x[beta][0]!r}"),
+                    ({"beta": 1}, TypeError, "{}['beta'] must be a list, not {x[beta]!r}"),
+                    (None, None, {})],
+    "destination": _each(TypeError, "{} must be a path or a writable text file object, not {x!r}",
+                         True, 1, 2.0, ["report.csv"])
+    + [(None, ValueError, "a {} is required")],
+    "operand": _each(TypeError, "unsupported operand type(s) for {}: "
+                     "'Series' and {x.__class__.__name__!r}", 5, 2.0, None, Fraction(1, 2)),
+    "str text": _each(TypeError, "{} must be a str, not {x!r}", {"a": 1}, b"0", ["0"], None, 0),
+    "JSON text": _each(TypeError, "{} must be a str or bytes, not {x!r}", 5, None, ["[]"])
+    + [(json.dumps([dataclasses.asdict(_SUMMARY)]).encode(), None,
+        json.dumps([dataclasses.asdict(_SUMMARY)]))],
+    "JSON tree": [(5, ValueError, _NODE + """TypeError("'int' object is not subscriptable")"""),
+                  ([None, None], ValueError,
+                   _NODE + "TypeError('list indices must be integers or slices, not str')"),
+                  ({"l": None}, ValueError, _NODE + "KeyError('r')")],
+    "str field": _each(TypeError, "{} must be a string, not {x!r}", 1, None),
+    "int field": _each(TypeError, "{} must be an integer, not {x!r}", "x", True, 7.0),
+    "bool field": _each(TypeError, "{} must be a bool, not {x!r}", 1, None),
+    "Term field": _each(TypeError, "{} must be a term, not {x!r}",
+                        SHIFT, Lift(SHIFT), Slash(Index(0)), 0, None, BinTree()),
+    "Subst field": _each(TypeError, "{} must be a substitution, not {x!r}",
+                         Index(0), Abs(Index(0)), Closure(Index(0), SHIFT), 0, None),
+    "Optional['BinTree'] field": _each(TypeError, "{} must be a BinTree or None, not {x!r}",
+                                       5, Index(0), {"l": None, "r": None}, object()),
 }
 
 
-@pytest.mark.parametrize("entry", sorted(COLLECTIONS), ids="-".join)
-def test_collections_that_are_not_iterable_raise_type_error(entry):
-    # each leaked "'int' object is not iterable", which names neither the
-    # parameter nor the value; a string is one item, not a list of them
-    what, call = COLLECTIONS[entry]
-    for x in (5, None, object(), "0"):
-        if x is None and entry == ("find_redexes", "kinds"):
-            continue  # its parameter is Optional: None asks for every rule
-        with pytest.raises(TypeError) as raised:
-            call(x)
-        assert str(raised.value) == f"{entry[1]} must be {what}, not {x!r}", entry
+@pytest.mark.parametrize("entry", sorted(CONTRACT), ids="-".join)
+def test_every_wrong_value_raises_its_documented_error(entry, tmp_path, capfd):
+    # each message names the parameter or the value; nothing else leaks (an
+    # AttributeError or an operator's TypeError once did), and a refused call
+    # writes nothing: export_report gets a fresh StringIO and a fresh path
+    key, call, subject = (*CONTRACT[entry], entry[1])[:3]
+    for k, (value, error, message) in enumerate(WRONG[key]):
+        sinks = (io.StringIO(), tmp_path / f"report{k}") if entry[0] == "export_report" else (None,)
+        for to in sinks:
+            run = call if to is None else functools.partial(call, to=to)
+            # a one-shot iterator is copied, so that each call gets all of it
+            x = copy.copy(value) if isinstance(value, Iterator) else value
+            if error is None:
+                assert run(x) == run(message), (entry, value)
+                continue
+            assert error in (TypeError, ValueError) and re.search(r"\{\}|\{x", message)
+            text = message.format(subject, x=x)
+            with pytest.raises(error) as raised:
+                run(x)
+            assert raised.type is error and str(raised.value) == text, entry
+            assert not (to.getvalue() if isinstance(to, io.StringIO) else to and to.exists())
+            if entry[0] == "SampleSummary":  # the same text, as import_summaries's ValueError
+                row = json.dumps([{**dataclasses.asdict(_SUMMARY), entry[1]: x}])
+                with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+                    import_summaries(row)
+    assert capfd.readouterr() == ("", "")
 
 
-def test_the_collection_table_lists_every_collection_parameter():
-    # a new public parameter annotated with a collection has to join
-    # COLLECTIONS or name its reason here
-    exempt = {("export_report", "comparisons"): "a dict of lists, checked in test_stats"}
-    found = _annotated_parameters("Iterable", "Sequence", "Position", "list", "tuple", "dict")
-    listed = COLLECTIONS.keys() | exempt.keys()
+#: Public parameters without a row, each with its reason.
+EXEMPT = {
+    ("match_redex", "term"): "a predicate: None off the redexes, whatever the value",
+    **{("ParseError", name): "the parser raises it, nobody passes it in"
+       for name in ("offset", "expected", "found")},
+    **{("BudgetExceeded", name): "normalize raises it, nobody passes it in"
+       for name in ("term", "trace")},
+    **{(enum, name): "Enum's functional API, which makes a new enum"
+       for enum in ("ParamKind", "RuleKind")
+       for name in ("names", "module", "qualname", "type", "start", "boundary")},
+}
+
+
+def test_every_public_parameter_has_a_row_or_an_exemption():
+    # a class counts by its signature, so dataclass and named-tuple fields
+    # count, and by its public methods written in Python; the operators of
+    # Series are rows of their own.  A new parameter cannot skip its check.
+    found = set()
+    for name in lamupsilon.__all__:
+        obj = getattr(lamupsilon, name)
+        if inspect.isclass(obj):
+            entries = [(name, obj)] + [
+                (f"{name}.{method}", function)
+                for method, function in inspect.getmembers(
+                    obj, lambda value: inspect.isfunction(value) or inspect.ismethod(value)
+                )
+                if not method.startswith("_")
+            ]
+        elif inspect.isroutine(obj):
+            entries = [(name, obj)]
+        else:
+            continue
+        for entry, function in entries:
+            try:
+                parameters = inspect.signature(function).parameters
+            except ValueError:  # an exception class that keeps BaseException's constructor
+                assert issubclass(function, Exception), entry
+                continue
+            found |= {(entry, parameter) for parameter in parameters if parameter != "self"}
+    assert {("TraceStep", "position"), ("SampleSummary", "mean"), ("Rng.derived", "index"),
+            ("Series", "coeffs"), ("export_report", "destination")} <= found
+    assert not CONTRACT.keys() & EXEMPT.keys()
+    operators = {entry for entry in CONTRACT if entry[0].startswith("Series.__")}
+    listed = CONTRACT.keys() - operators | EXEMPT.keys()
     assert found == listed, sorted(found ^ listed)
-
-
-def test_the_record_table_lists_every_record_parameter():
-    # a new public parameter annotated with a record class has to join
-    # RECORDS, so it cannot skip the class check unnoticed
-    found = _annotated_parameters("Rng", "Redex", "Trace", "SampleSummary", "Tolerance")
-    assert {("sample_term", "rng"), ("export_report", "results")} <= found
-    assert found == RECORDS.keys(), sorted(found ^ RECORDS.keys())
