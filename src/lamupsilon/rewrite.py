@@ -50,6 +50,7 @@ from .terms import (
     _lift,
     _nodes,
     _of_sort,
+    _position,
     _rebuild,
     _slash,
     _walk,
@@ -120,11 +121,10 @@ class Trace:
 
     def __post_init__(self):  # not run by _compact_trace, which bypasses __init__
         steps = _iterable("steps", self.steps, "a tuple of TraceStep records")
-        object.__setattr__(self, "steps", tuple(TraceStep(
-            _member(RuleKind, rule),
-            tuple(_int("position ordinal", k) for k in _iterable("position", position, "a tuple of ints")),
-            result if result is None else _of_sort(result, "Term"),
-        ) for rule, position, result in (_member(TraceStep, step) for step in steps)))
+        object.__setattr__(self, "steps", tuple(
+            TraceStep(_member(RuleKind, rule), _position(position),
+                      result if result is None else _of_sort(result, "Term"))
+            for rule, position, result in (_member(TraceStep, step) for step in steps)))
 
     def __getattr__(self, name: str):
         # reached only while ``steps`` is unset, so on a trace from _compact_trace

@@ -36,9 +36,9 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, partialmethod
+from functools import lru_cache
 from itertools import count, islice
-from operator import add, mul, sub
+from operator import mul
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from . import _int, _iterable, _member
@@ -100,12 +100,15 @@ class Series:
             raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
         return self.coeffs[n]
 
-    def __add__(self, other: "Series", op=add) -> "Series":  # op=sub: the difference
+    def __add__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
             return NotImplemented
-        return Series(map(op, self.coeffs, other.coeffs))
+        return Series([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
-    __sub__ = partialmethod(__add__, op=sub)
+    def __sub__(self, other: "Series") -> "Series":
+        if not isinstance(other, Series):
+            return NotImplemented
+        return Series([a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other: "Series") -> "Series":
         """Cauchy product, skipping the trailing zeros of the sparser factor."""

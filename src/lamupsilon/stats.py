@@ -264,6 +264,7 @@ def run_experiment(
         raise InvalidSize("term size must be positive")
     if _int("m", m) < 2:
         raise InsufficientSamples("need at least two samples")
+    _int("seed", seed)
     params = _iterable("params", params, "a list of parameter names")
     names = tuple(dict.fromkeys(_param_name(p) for p in params))
     if not names:

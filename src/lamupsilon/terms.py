@@ -352,14 +352,20 @@ def _preorder(term: Term):
             stack.append((pos + (i,), kids[i]))
 
 
+def _position(position) -> Position:
+    """``position`` read once (it may be an iterator) into a tuple of ints."""
+    ordinals = _iterable("position", position, "a tuple of ints")
+    return tuple(_int("position ordinal", ordinal) for ordinal in ordinals)
+
+
 def _walk(term: Term, position: Position) -> tuple[list[Node], Position]:
-    """Nodes along ``position``, root first, and its ordinals as a tuple, read
-    once (it may be an iterator); raises ValueError on an invalid path."""
+    """Nodes along ``position``, root first, and its ordinals as a tuple;
+    raises ValueError on an invalid path."""
     path: list[Node] = [_of_sort(term, "Term")]
-    ordinals = tuple(_iterable("position", position, "a tuple of ints"))
+    ordinals = _position(position)
     for depth, ordinal in enumerate(ordinals):
         kids = path[-1]._children()
-        if not 0 <= _int("position ordinal", ordinal) < len(kids):
+        if not 0 <= ordinal < len(kids):
             raise ValueError(
                 f"invalid position {position!r}: no child {ordinal} at depth {depth}"
             )

@@ -36,6 +36,7 @@ from lamupsilon.terms import _abs, _app, _closure, _index, _lift, _slash, childr
 from lamupsilon.trees import _bintree
 
 from conftest import substs, terms
+from test_api import WRONG
 
 
 def test_size_of_indices_is_successor_count():
@@ -242,23 +243,19 @@ _SORT_OF = {Index: "T", Abs: "T", App: "T", Closure: "T", Slash: "S", Lift: "S",
 _GOOD = [
     Abs(Index(0)), App(Index(0), Index(1)), Closure(Index(0), SHIFT), Slash(Index(2)), Lift(SHIFT),
 ]
-_WRONG = {"Term": (SHIFT, Lift(SHIFT), Slash(Index(0)), 0, None, BinTree()),
-          "Subst": (Index(0), Abs(Index(0)), Closure(Index(0), SHIFT), 0, None)}
-
-
 @pytest.mark.parametrize("node", _GOOD)
 def test_ill_sorted_children_raise_type_error(node):
-    # the constructors' own checks are rows of tests/test_api.py::CONTRACT; the
-    # root of replace_at is a term, so a substitution sits in a closure
+    # the constructors' own checks are rows of test_api.CONTRACT, whose wrong
+    # values these are; the root of replace_at is a term, so a substitution
+    # sits in a closure
     root, path = (node, ()) if _SORT_OF[node.__class__] == "T" else (Closure(Index(0), node), (1,))
     name = node.__class__.__name__
     for ordinal, field in enumerate(fields(node)):
-        sort = "a term" if field.type == "Term" else "a substitution"
-        for wrong in _WRONG[field.type]:
-            error = f"^{name} {field.name} must be {sort}, not {re.escape(repr(wrong))}$"
-            with pytest.raises(TypeError, match=error):
+        for wrong, error, message in WRONG[f"{field.type} field"]:
+            text = f"^{re.escape(message.format(f'{name} {field.name}', x=wrong))}$"
+            with pytest.raises(error, match=text):
                 with_child(node, ordinal, wrong)
-            with pytest.raises(TypeError, match=error):
+            with pytest.raises(error, match=text):
                 replace_at(root, path + (ordinal,), wrong)
 
 
