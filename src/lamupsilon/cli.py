@@ -12,15 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal  # prints an int of any length; str() stops at 4300 digits
 
-from .rewrite import BudgetExceeded, _trace_items, normalize
-from .series import ParamKind, _catalans, expected_param_exact
-from .stats import NESTED, default_comparisons, export_report, run_experiment
-from .syntax import ParseError, _int_text, parse_term, render_term
-from .trees import InvalidSize, Rng, sample_term
-from .verify import SUITES
-
-_PARAM_NAMES = [p.value for p in ParamKind] + [NESTED]
+# Each command imports what it uses, so that building the parser loads no
+# submodule; these copies of the choices are checked against their sources.
+_PARAMS = ("beta", "app", "lambda", "fvar", "rvar", "fvarlift", "rvarlift", "varshift",
+           "unsuspended")  # the ParamKind values
+_PARAM_NAMES = (*_PARAMS, "nested")  # and stats.NESTED
+_SUITES = ("bijection", "catalan", "oracle", "rewrite")  # sorted(verify.SUITES)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,11 +58,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("expect", help="exact expectation of a parameter")
-    p.add_argument("--param", choices=[p.value for p in ParamKind], required=True)
+    p.add_argument("--param", choices=_PARAMS, required=True)
     p.add_argument("--size", type=int, required=True)
 
     p = sub.add_parser("verify", help="run a built-in verification suite")
-    p.add_argument("--suite", choices=sorted(SUITES), required=True)
+    p.add_argument("--suite", choices=_SUITES, required=True)
     p.add_argument("--max-size", type=int, default=None)
     return parser
 
@@ -80,17 +79,22 @@ def _read_term_text(args) -> str | None:
 
 
 def _cmd_count(args) -> int:
+    from .series import _catalans
+
     # one forward pass: the substitutions of size n number C(0) + ... + C(n-1);
     # terms of size n number C(n), n >= 1
     partial_sum = 0
     for n, catalan_n in zip(range(args.max_size + 1), _catalans()):
         value = (catalan_n if n else 0) if args.kind == "term" else partial_sum
-        print(f"{n},{_int_text(value)}")
+        print(f"{n},{Decimal(value)}")
         partial_sum += catalan_n
     return 0
 
 
 def _cmd_sample(args) -> int:
+    from .syntax import render_term
+    from .trees import InvalidSize, Rng, sample_term
+
     try:
         rendered = [
             render_term(sample_term(args.size, Rng.derived(args.seed, i)))
@@ -107,6 +111,9 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
+    from .rewrite import BudgetExceeded, _trace_items, normalize
+    from .syntax import ParseError, parse_term, render_term
+
     text = _read_term_text(args)
     if text is None:
         return _usage_error("provide a term via --term or stdin")
@@ -138,6 +145,8 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from .stats import default_comparisons, export_report, run_experiment
+
     params = [name for name in map(str.strip, args.params.split(",")) if name]
     try:
         summaries = run_experiment(args.size, args.samples, args.seed, params)
@@ -154,14 +163,18 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_expect(args) -> int:
+    from .series import ParamKind, expected_param_exact
+
     value = expected_param_exact(ParamKind(args.param), args.size)
-    num, den = _int_text(value.numerator), _int_text(value.denominator)
+    num, den = str(Decimal(value.numerator)), str(Decimal(value.denominator))
     print(num if den == "1" else f"{num}/{den}")
     print(f"{float(value):.12g}")
     return 0
 
 
 def _cmd_verify(args) -> int:
+    from .verify import SUITES
+
     suite = SUITES[args.suite]
     results = suite() if args.max_size is None else suite(args.max_size)
     failed = 0

@@ -16,8 +16,9 @@ identical to "rescan from the root, fire the first enabled redex"
 redex: that rule fires from the new subtree and the parent's other child,
 without rebuilding the parent, and so on up.  A parent that is not a redex
 stays stale until the walk climbs back through it or ``_rebuild`` needs
-the whole term.  A step costs its redex's depth: it stores its position
-as one byte per level (every ordinal on a path is 0 or 1).  The trace
+the whole term.  A step costs its redex's depth: the walk keeps its path of
+child ordinals in a ``bytearray`` (every ordinal on a path is 0 or 1), and a
+step stores its position as one C copy of it, one byte per level.  The trace
 keeps each step as its rule and that ``bytes`` position, neither tracked
 by the garbage collector, and with ``keep_terms`` the start term, from
 which it replays each result term through ``apply_at`` once ``steps`` is read.
@@ -291,7 +292,8 @@ def normalize(
     leftmost-outermost redex is the pre-order-first one.  Raises
     BudgetExceeded once ``max_steps`` rewrites have happened and an enabled
     redex remains.
-    A step costs its redex's depth, for its position.  The trace replays
+    A step costs its redex's depth, for its position: one C copy of the
+    walk's ``bytearray`` path into ``bytes``.  The trace replays
     each result term from ``term`` on read; with ``keep_terms=False`` it is None.
     A parent that a step makes a redex fires from its children at once;
     any other parent stays stale until the walk climbs back through it.
@@ -305,7 +307,7 @@ def normalize(
     rules: list[RuleKind] = []
     positions: list[bytes] = []  # an ordinal is 0 or 1, and bytes are not GC-tracked
     parents: list[Term] = []  # nodes on the path from the root to the focus
-    ordinals: list[int] = []  # ordinals[d]: the child of parents[d] on the path
+    ordinals = bytearray()  # ordinals[d]: the child of parents[d] on the path
     focus: object = _of_sort(term, "Term")
     test = True  # does the focus still need a redex test?
     resume = 0  # next child of the focus to visit

@@ -51,6 +51,7 @@ node back: it rebuilds unchecked each parent whose child changed, in the path.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass, fields
+from typing import Sequence
 
 from . import _int, _iterable
 
@@ -378,8 +379,9 @@ def subterm_at(term: Term, position: Position) -> Node:
     return _walk(term, position)[0][-1]
 
 
-def _rebuild(spine: list[Node], ordinals: Position, node: Node) -> Node:
-    """The root above ``node`` on the path ``spine``, ``ordinals``; stale parents are rebuilt."""
+def _rebuild(spine: list[Node], ordinals: Sequence[int], node: Node) -> Node:
+    """The root above ``node`` on the path ``spine``, ``ordinals``; stale parents are rebuilt.
+    ``ordinals`` is any sequence of ints: a position, or the ``bytearray`` path of ``normalize``."""
     for depth in range(len(spine) - 1, -1, -1):
         if spine[depth]._children()[ordinals[depth]] is not node:
             spine[depth] = _with_child(spine[depth], ordinals[depth], node)

@@ -41,10 +41,11 @@ never by the recursion limit.
 from __future__ import annotations
 
 import itertools
+import reprlib
 import sys
 from array import array
 from functools import lru_cache
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Optional
 
 from . import _int, _member
@@ -117,14 +118,20 @@ def tree_to_json(tree: Optional[BinTree]):
 
 
 def tree_from_json(data) -> Optional[BinTree]:
-    """Inverse of ``tree_to_json``; raises ValueError for a node that is
-    not an object with both ``l`` and ``r``."""
+    """Inverse of ``tree_to_json``; raises ValueError quoting the first node
+    in pre-order that is not an object with both ``l`` and ``r``."""
     if data is None:
         return None
+    return _from_shape(_shape(data, _json_children))
+
+
+def _json_children(node) -> tuple:
+    """The ``l`` and ``r`` of a JSON node, else ValueError quoting the node."""
     try:
-        return _from_shape(_shape(data, itemgetter("l", "r")))
-    except (KeyError, TypeError) as err:
-        raise ValueError(f"each node must be an object with 'l' and 'r': {err!r}") from None
+        return node["l"], node["r"]
+    except (KeyError, TypeError):
+        text = reprlib.repr(node)  # cut at a few levels: a deep node's repr would recurse
+        raise ValueError(f"each node must be an object with 'l' and 'r': {text}") from None
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -21,8 +21,9 @@ from lamupsilon import (
     size,
     trace_to_json,
 )
-from lamupsilon import cli, rewrite
+from lamupsilon import NESTED, cli, rewrite
 from lamupsilon.cli import main
+from lamupsilon.verify import SUITES
 
 from conftest import terms
 
@@ -260,7 +261,7 @@ def test_normalize_never_keeps_terms(capsys, monkeypatch):
         traces.append(trace)
         return normal, trace
 
-    monkeypatch.setattr(cli, "normalize", spy)
+    monkeypatch.setattr(rewrite, "normalize", spy)  # the command imports it when run
     assert run_cli(capsys, "normalize", "--term", "(\\\\1) 0")[:2] == (0, "\\1\n")
     code, out, _ = run_cli(capsys, "normalize", "--term", "(\\\\1) 0", "--trace")
     plain, traced = traces
@@ -271,6 +272,13 @@ def test_normalize_never_keeps_terms(capsys, monkeypatch):
         assert all(position.__class__ is bytes for position in positions)
     kept = normalize(parse_term("(\\\\1) 0"))[1]
     assert (code, out) == (0, f"\\1\n{json.dumps(trace_to_json(kept))}\n")
+
+
+def test_the_parser_choices_equal_their_sources():
+    # the parser lists them itself, so that building it loads no submodule
+    assert cli._PARAMS == tuple(kind.value for kind in ParamKind)
+    assert cli._PARAM_NAMES == (*cli._PARAMS, NESTED)
+    assert cli._SUITES == tuple(sorted(SUITES))
 
 
 def test_a_trace_that_does_not_replay_is_an_internal_error(capsys, monkeypatch):

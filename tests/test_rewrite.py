@@ -269,6 +269,37 @@ def test_budget_stops_inside_cascades_match_the_naive_rescan():
         _assert_budget_stops_match_the_naive_rescan(sample_term(30, Rng.derived(96, i)), "upsilon")
 
 
+@pytest.mark.parametrize("above, below, ordinal, depth", [
+    ("\\" * 1000, "", 0, 1000),
+    ("0 (" * 300, ")" * 300, 1, 300),
+], ids=["under-1000-binders", "down-300-arguments"])
+def test_positions_below_255_levels(default_recursion_limit, above, below, ordinal, depth):
+    # a position is one byte per level, copied from the walk's path of ordinals,
+    # and the budget stop rebuilds the partial term through that path
+    deep = (ordinal,) * depth
+    normal, trace = normalize(parse_term(above + "0[shift]" + below), "upsilon")
+    assert normal == parse_term(above + "1" + below)
+    assert [(s.rule, s.position) for s in trace.steps] == [(RuleKind.VARSHIFT, deep)]
+    assert trace_to_json(trace) == [
+        {"rule": "VarShift", "position": list(deep), "term": render_term(normal)}
+    ]
+    # the inner closure fires first, one level below; its parent then cascades
+    doubled = parse_term(above + "0[shift][shift]" + below)
+    partial = parse_term(above + "1[shift]" + below)
+    for budget, term, steps in [(0, doubled, []), (1, partial, [(deep + (0,), partial)])]:
+        with pytest.raises(BudgetExceeded) as info:
+            normalize(doubled, "upsilon", max_steps=budget)
+        assert info.value.term == term
+        assert [(s.rule, s.position, s.result) for s in info.value.trace.steps] == [
+            (RuleKind.VARSHIFT, position, result) for position, result in steps
+        ]
+        assert trace_to_json(info.value.trace) == [
+            {"rule": "VarShift", "position": list(position), "term": render_term(result)}
+            for position, result in steps
+        ]
+    assert normalize(doubled, "upsilon", max_steps=2)[0] == parse_term(above + "2" + below)
+
+
 def test_normalize_argument_validation():
     with pytest.raises(ValueError):
         normalize(Index(0), "lazy")

@@ -185,6 +185,19 @@ def test_very_deep_tree_from_json(default_recursion_limit):
     assert phi_inv(phi(tree)) == tree
 
 
+def test_a_deep_malformed_node_is_quoted_in_bounded_text(default_recursion_limit):
+    # the message quotes the node itself, cut at a few levels: a full repr of
+    # a 100 000-level node would exceed the recursion limit
+    data = {"l": None, "r": None}
+    for _ in range(100_000):
+        data = {"l": data}
+    with pytest.raises(ValueError) as raised:
+        tree_from_json(data)
+    assert str(raised.value) == (
+        "each node must be an object with 'l' and 'r': " + "{'l': " * 6 + "{...}" + "}" * 6
+    )
+
+
 def test_shape_codes():
     # pre-order codes 2*(has left) + (has right), left subtree before right
     assert _shape(LEAF) == [0]
