@@ -1,10 +1,10 @@
 """The eight rewriting rules, redex search, normalization and classifiers.
 
-``match_redex`` is the one class dispatch that recognises a redex (through
-``_closure_rule`` for a closure).  Each rule's right-hand side is a
-builder in one table keyed by ``RuleKind``, called with the redex's two
-children and run only by ``normalize`` and ``rewrite_root``, so the
-counters classify without building.
+``_contract`` (for a closure) and ``_beta`` (for an application) match a
+redex and build its right-hand side in one call, the only place the
+right-hand sides are stated; ``normalize`` and ``rewrite_root`` build
+through them.  ``match_redex`` and ``_closure_rule`` classify the same
+redexes without building, for the counters.
 
 Rule left-hand sides are mutually exclusive and inspect only a node and
 its immediate children, which the normalizer exploits: after a rewrite,
@@ -79,19 +79,8 @@ class RuleKind(Enum):
 ALL_RULES = frozenset(RuleKind)
 UPSILON_RULES = frozenset(RuleKind) - {RuleKind.BETA}
 
-# Each rule's right-hand side, built from the children of a node that match_redex gives it.
-# The children of a well-sorted redex make a well-sorted right-hand side, and RVar and
-# RVarLift match only an index n >= 1, so the unchecked factories build them.
-_RIGHT_HAND_SIDE = {
-    RuleKind.BETA: lambda fun, arg: _closure(fun.body, _slash(arg)),
-    RuleKind.APP: lambda body, sub: _app(_closure(body.fun, sub), _closure(body.arg, sub)),
-    RuleKind.LAMBDA: lambda body, sub: _abs(_closure(body.body, _lift(sub))),
-    RuleKind.FVAR: lambda body, sub: sub.term,
-    RuleKind.RVAR: lambda body, sub: _index(body.n - 1),
-    RuleKind.FVARLIFT: lambda body, sub: _index(0),
-    RuleKind.RVARLIFT: lambda body, sub: _closure(_closure(_index(body.n - 1), sub.sub), SHIFT),
-    RuleKind.VARSHIFT: lambda body, sub: _index(body.n + 1),
-}
+# The members as module globals: reading one is much cheaper than ``RuleKind.X``.
+_BETA, _APP, _LAMBDA, _FVAR, _RVAR, _FVARLIFT, _RVARLIFT, _VARSHIFT = RuleKind
 
 
 @dataclass(frozen=True)
@@ -191,30 +180,53 @@ def match_redex(term: Term) -> Optional[RuleKind]:
     if term.__class__ is Closure:
         return _closure_rule(term.body, term.sub)
     if term.__class__ is App and term.fun.__class__ is Abs:
-        return RuleKind.BETA
+        return _BETA
     return None
 
 
 def _closure_rule(body: Term, sub: Subst) -> Optional[RuleKind]:
-    """The rule matching at the closure ``body[sub]``, if any."""
+    """The rule matching at the closure ``body[sub]``, if any; builds nothing."""
     if body.__class__ is App:
-        return RuleKind.APP
+        return _APP
     if body.__class__ is Abs:
-        return RuleKind.LAMBDA
+        return _LAMBDA
     if body.__class__ is not Index:
         return None
     if sub.__class__ is Slash:
-        return RuleKind.RVAR if body.n else RuleKind.FVAR
+        return _RVAR if body.n else _FVAR
     if sub.__class__ is Lift:
-        return RuleKind.RVARLIFT if body.n else RuleKind.FVARLIFT
-    return RuleKind.VARSHIFT
+        return _RVARLIFT if body.n else _FVARLIFT
+    return _VARSHIFT
+
+
+def _contract(body: Term, sub: Subst) -> Optional[tuple[RuleKind, Term]]:
+    """``(_closure_rule(body, sub), right-hand side)``, or None; the unchecked factories build
+    it, as a redex's children are well sorted and RVar and RVarLift match only n >= 1."""
+    if body.__class__ is App:
+        return _APP, _app(_closure(body.fun, sub), _closure(body.arg, sub))
+    if body.__class__ is Abs:
+        return _LAMBDA, _abs(_closure(body.body, _lift(sub)))
+    if body.__class__ is not Index:
+        return None
+    if sub.__class__ is Slash:
+        return (_RVAR, _index(body.n - 1)) if body.n else (_FVAR, sub.term)
+    if sub.__class__ is not Lift:
+        return _VARSHIFT, _index(body.n + 1)
+    if body.n:
+        return _RVARLIFT, _closure(_closure(_index(body.n - 1), sub.sub), SHIFT)
+    return _FVARLIFT, _index(0)
+
+
+def _beta(fun: Term, arg: Term) -> Optional[tuple[RuleKind, Term]]:
+    """``(BETA, right-hand side)`` for the application ``fun arg``, or None."""
+    return (_BETA, _closure(fun.body, _slash(arg))) if fun.__class__ is Abs else None
 
 
 def rewrite_root(term: Term, kind: RuleKind) -> Term:
     """Right-hand side for a redex of ``kind`` at the root."""
     if match_redex(term) is not _member(RuleKind, kind):
         raise InvalidRedex(f"{kind.value} does not match at the root")
-    return _RIGHT_HAND_SIDE[kind](*term._children())
+    return (_beta(term.fun, term.arg) if kind is _BETA else _contract(term.body, term.sub))[1]
 
 
 def apply_at(term: Term, redex: Redex) -> Term:
@@ -312,29 +324,25 @@ def normalize(
     test = True  # does the focus still need a redex test?
     resume = 0  # next child of the focus to visit
     while True:
-        if test and (focus.__class__ is Closure or (beta and focus.__class__ is App)):
-            kind = match_redex(focus)
+        if test:
+            step = (_contract(focus.body, focus.sub) if focus.__class__ is Closure else
+                    _beta(focus.fun, focus.arg) if beta and focus.__class__ is App else None)
+            kind = None  # set by a step; a later one fires at the stale parent
+            while step is not None:
+                if max_steps is not None and len(rules) >= max_steps:
+                    whole = _rebuild(parents, ordinals, focus)
+                    raise BudgetExceeded(whole, _compact_trace(start, rules, positions))
+                if kind is not None:
+                    del parents[-1], ordinals[-1]
+                kind, focus = step
+                rules.append(kind)
+                positions.append(bytes(ordinals))
+                # Outside the new subtree only the parent's redex status can
+                # change, and only if the new subtree is its first child.
+                parent = parents[-1] if parents and not ordinals[-1] else None
+                step = (_contract(focus, parent.sub) if parent.__class__ is Closure else
+                        _beta(focus, parent.arg) if beta and parent.__class__ is App else None)
             if kind is not None:
-                redex = focus._children()
-                while kind is not None:
-                    if max_steps is not None and len(rules) >= max_steps:
-                        whole = _rebuild(parents, ordinals, focus)
-                        raise BudgetExceeded(whole, _compact_trace(start, rules, positions))
-                    if redex[0] is focus:  # the redex is the focus's stale parent
-                        del parents[-1], ordinals[-1]
-                    focus = _RIGHT_HAND_SIDE[kind](*redex)
-                    rules.append(kind)
-                    positions.append(bytes(ordinals))
-                    # Outside the new subtree only the parent's redex status can
-                    # change, and only if the new subtree is its first child.
-                    parent = parents[-1] if parents and not ordinals[-1] else None
-                    if parent.__class__ is Closure:
-                        redex = (focus, parent.sub)
-                        kind = _closure_rule(*redex)
-                    elif beta and parent.__class__ is App and focus.__class__ is Abs:
-                        redex, kind = (focus, parent.arg), RuleKind.BETA
-                    else:
-                        kind = None
                 resume = 0
                 continue
         kids = focus._children()

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from . import _int, _iterable, _member
-from .rewrite import RuleKind, _closure_rule
+from .rewrite import _BETA, RuleKind, _closure_rule
 from .series import ParamKind, expected_param_exact, nested_free_fraction
 from .terms import SHIFT, Abs, App, Closure, Index, Lift, Slash, _index
 from .trees import InvalidSize, Rng, _sample_plan
@@ -198,7 +198,7 @@ def _plan_values(plan: list[tuple[int, int]]) -> dict:
                 continue
             _, arg_pure, arg_unsuspended = built.pop()
             if body is _ABS:
-                counts[RuleKind.BETA] += 1
+                counts[_BETA] += 1
             built.append((_APP, pure and arg_pure, unsuspended + arg_unsuspended + 1))
             continue
         if kind == 3 and not built.pop()[1]:
@@ -229,20 +229,25 @@ def _sample_values(
 
 
 def _worker_count(workers: Optional[int]) -> int:
+    """The worker processes to use: ``workers``, else UPSILON_THREADS, else
+    one, and at most the cores this process may run on."""
     if workers is not None:
         if _int("workers", workers) < 1:
             raise ValueError(f"workers must be a positive integer, not {workers!r}")
-        return workers
-    env = os.environ.get("UPSILON_THREADS", "").strip()
-    if not env:
-        return 1
+        count = workers
+    else:
+        env = os.environ.get("UPSILON_THREADS", "").strip()
+        try:
+            count = int(env) if env else 1
+        except ValueError:
+            count = 0
+        if count < 1:
+            raise ValueError(f"UPSILON_THREADS must be a positive integer, not {env!r}")
     try:
-        count = int(env)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ValueError(f"UPSILON_THREADS must be a positive integer, not {env!r}")
-    return count
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cores = os.cpu_count() or 1
+    return min(count, cores)
 
 
 def run_experiment(
@@ -258,7 +263,8 @@ def run_experiment(
     any other name raises ValueError, and a bare string TypeError.  Deterministic in (n, m, seed)
     regardless of ``workers``, a positive integer (default: the
     UPSILON_THREADS environment variable, else serial); any other count
-    raises ValueError.
+    raises ValueError.  It runs at most one worker process per core that
+    the process may use.
     """
     if _int("n", n) < 1:
         raise InvalidSize("term size must be positive")

@@ -96,6 +96,48 @@ def test_rewrite_right_hand_sides():
     assert rewrite_root(Closure(Index(5), SHIFT), RuleKind.VARSHIFT) == Index(6)
 
 
+BODIES = [Index(0), Index(1), Index(5), Abs(Index(0)), App(Index(0), Index(1)),
+          Closure(Index(0), SHIFT)]
+SUBSTS = [Slash(Index(2)), Lift(SHIFT), Lift(Slash(Index(0))), SHIFT]
+
+
+@pytest.mark.parametrize("body", BODIES, ids=render_term)
+@pytest.mark.parametrize("sub", SUBSTS, ids=repr)
+def test_contract_fires_the_rule_that_closure_rule_names(body, sub):
+    step = rewrite._contract(body, sub)
+    assert (None if step is None else step[0]) is rewrite._closure_rule(body, sub)
+
+
+@pytest.mark.parametrize("fun", BODIES, ids=render_term)
+def test_beta_fires_exactly_at_an_abstraction(fun):
+    step = rewrite._beta(fun, Index(3))
+    if fun.__class__ is Abs:
+        assert step == (RuleKind.BETA, Closure(fun.body, Slash(Index(3))))
+    else:
+        assert step is None
+
+
+def test_contract_and_beta_build_nothing_where_no_rule_matches(monkeypatch):
+    # every closure and application of every term of size <= 6
+    built = []
+    for name in ("_abs", "_app", "_closure", "_index", "_lift", "_slash"):
+        monkeypatch.setattr(rewrite, name, lambda *args, name=name: built.append(name))
+    misses = 0
+    for n in range(1, 7):
+        for t in enumerate_terms(n):
+            for _, node in iter_subterms(t):
+                if match_redex(node) is not None:
+                    continue
+                if isinstance(node, Closure):
+                    assert rewrite._contract(node.body, node.sub) is None
+                elif isinstance(node, App):
+                    assert rewrite._beta(node.fun, node.arg) is None
+                else:
+                    continue
+                misses += 1
+    assert misses > 0 and built == []
+
+
 def test_rewrite_root_returns_exactly_where_match_redex_agrees():
     # every node of every term of size <= 8, substitutions included
     returned = raised = 0

@@ -86,11 +86,53 @@ def test_experiment_is_worker_count_independent(monkeypatch):
 
     # run_experiment imports the pool class only when it needs one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    # two usable cores, so that two workers are not capped on a one-core machine
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     serial = run_experiment(10, 48, 7, [ParamKind.BETA, NESTED], workers=1)
     assert pools == []
     forked = run_experiment(10, 48, 7, [ParamKind.BETA, NESTED], workers=2)
     assert pools == [{"max_workers": 2}]
     assert serial == forked
+
+
+def test_experiment_runs_at_most_one_worker_per_usable_core(monkeypatch):
+    # The spy pool runs its jobs in this process: no worker process is
+    # started, whatever count is asked for.
+    import concurrent.futures
+
+    pools = []
+
+    class SpyPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+    params = [ParamKind.BETA, NESTED]
+    serial = run_experiment(10, 48, 7, params, workers=1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert run_experiment(10, 48, 7, params, workers=10**4) == serial
+    monkeypatch.setenv("UPSILON_THREADS", "10000")
+    assert run_experiment(10, 48, 7, params) == serial
+    assert pools == [3, 3]
+    # 12 samples are enough for 3 workers (m >= 4 * workers), 11 are not
+    assert run_experiment(10, 12, 7, params) == run_experiment(10, 12, 7, params, workers=1)
+    assert pools == [3, 3, 3]
+    run_experiment(10, 11, 7, params)
+    assert pools == [3, 3, 3]
+    # where the platform has no affinity mask, the cap is the CPU count
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert run_experiment(10, 48, 7, params, workers=10**4) == serial
+    assert pools == [3, 3, 3, 5]
 
 
 # SHA-256 of the JSON export of run_experiment(1000, 50, seed, ALL_PARAMS),
