@@ -95,16 +95,21 @@ def _cmd_sample(args) -> int:
     from .syntax import render_term
     from .trees import InvalidSize, Rng, sample_term
 
+    rendered = (
+        render_term(sample_term(args.size, Rng.derived(args.seed, i))) for i in range(args.count)
+    )
     try:
-        rendered = [
-            render_term(sample_term(args.size, Rng.derived(args.seed, i)))
-            for i in range(args.count)
-        ]
+        first = next(rendered)  # all samples share the size: the first refuses a bad one
     except InvalidSize as err:  # too large to sample
         return _usage_error(str(err))
+    # one term at a time; the JSON is byte-identical to json.dumps(list of terms)
     if args.format == "json":
-        print(json.dumps(rendered))
+        sys.stdout.write("[" + json.dumps(first))
+        for line in rendered:
+            sys.stdout.write(", " + json.dumps(line))
+        sys.stdout.write("]\n")
     else:
+        print(first)
         for line in rendered:
             print(line)
     return 0

@@ -7,13 +7,13 @@ taken once over all sample values and only divided at the end; the stored
 decimals are rounded to 12 significant digits, which also makes
 export/import round-trips exact.
 
-An experiment builds no term: ``_plan_values`` reads every parameter of a
-sample in one bottom-up pass over the sampler's plan
-(``trees._sample_plan``), the list ``trees._fold`` would build the term
-from.  ``count_all_redexes``, ``unsuspended_constructors`` and
+An experiment builds no term: ``_graft_values`` reads every parameter of
+a sample in one walk over Rémy's grafting arrays (``trees._graft``), the
+arrays ``trees.sample_term`` would read the term from.
+``count_all_redexes``, ``unsuspended_constructors`` and
 ``has_nested_substitution`` on ``sample_term``'s term stay public as the
-oracle it is tested against, and closures are classified by the
-rewriter's own ``_closure_rule``.
+oracle it is tested against, and closures are classified by a table of
+the rewriter's own ``_closure_rule`` (``_closure_cells``).
 
 The three records check their fields when built, by annotation (``_Record``);
 ``import_summaries`` builds them and raises their messages as ValueError.
@@ -34,8 +34,8 @@ from typing import Iterable, Optional, Sequence, Union
 from . import _int, _iterable, _member
 from .rewrite import _BETA, RuleKind, _closure_rule
 from .series import ParamKind, expected_param_exact, nested_free_fraction
-from .terms import SHIFT, Abs, App, Closure, Index, Lift, Slash, _index
-from .trees import InvalidSize, Rng, _sample_plan
+from .terms import SHIFT, Abs, App, Closure, Index, Lift, Slash
+from .trees import InvalidSize, Rng, _graft
 
 #: Extra experiment parameter: 0/1 indicator of a nested substitution.
 NESTED = "nested"
@@ -165,52 +165,94 @@ def _param_name(param: ParamName) -> str:
         raise ValueError(f"unknown parameter {param!r}") from None
 
 
-#: Stand-ins for a closure's body and substitution: ``_closure_rule`` reads
-#: their class as it reads the nodes they stand for.
-_ABS, _APP, _CLOSURE = Abs(Index(0)), App(Index(0), Index(0)), Closure(Index(0), SHIFT)
-_SLASH, _LIFT = Slash(Index(0)), Lift(SHIFT)
+def _closure_cells() -> tuple:
+    """The rule of each closure cell of ``_region``, from the rewriter's own
+    ``_closure_rule``: cell ``5 * sub + body`` holds a closure whose
+    substitution is a shift (sub 0), a slash (1) or a lift (2), and whose
+    body is index 0 (body 0), a binder (1), an index above 0 (2), an
+    application (3) or a closure (4): the body's shape code, with a chain
+    read as 2 over a leaf anchor and 4 over any other."""
+    bodies = (Index(0), Abs(Index(0)), Index(1), App(Index(0), Index(0)), Closure(Index(0), SHIFT))
+    subs = (SHIFT, Slash(Index(0)), Lift(SHIFT))
+    return tuple(_closure_rule(body, sub) for sub in subs for body in bodies)
 
 
-def _plan_values(plan: list[tuple[int, int]]) -> dict:
-    """The values of the term ``trees._fold(plan)`` without building it:
-    each ``RuleKind``'s redex count, and under ``NESTED`` and the name of
+_CELLS = _closure_cells()
+
+
+def _region(stack: list, payloads: list, left: list, right: list, cells: list) -> tuple[int, int]:
+    """Walk the term nodes whose skeleton roots are on ``stack``, down to but
+    not into slash payloads, whose roots go onto ``payloads``.  Counts each
+    closure in ``cells`` and returns the unsuspended constructors and the
+    Beta redexes of the walk.
+
+    A node's term is found by following its left-only chain to the anchor:
+    a leaf anchor under a chain of k is the index k; a right-only anchor is
+    a binder, and a two-child one an application, under no chain, and else
+    a closure whose body is the right child, under a shift, or the left
+    child, under a slash of the right one, in either case lifted if the
+    chain is longer than 1.  The body's class is read the same way."""
+    unsuspended = beta = 0
+    pop, push = stack.pop, stack.append
+    node = pop()
+    while True:
+        l, r, chain = left[node], right[node], 0
+        while l & 1 and not r & 1:
+            l, r, chain = left[l], right[l], chain + 1
+        if not r & 1:
+            unsuspended += chain + 1  # the index ``chain``
+            try:
+                node = pop()
+            except IndexError:
+                return unsuspended, beta
+            continue
+        unsuspended += 1
+        if not chain:
+            if l & 1:  # an application, a Beta redex if its left child is a binder
+                if not left[l] & 1 and right[l] & 1:
+                    beta += 1
+                push(r)
+                node = l
+            else:  # a binder
+                node = r
+            continue
+        if l & 1:
+            payloads.append(r)
+            node, sub = l, 5
+        else:
+            node, sub = r, 0
+        if chain > 1:
+            sub = 10
+        l, r = left[node], right[node]
+        body = 2 * (l & 1) + (r & 1)  # the body's code: 0 index 0, 1 binder, 3 application
+        if body == 2:  # a chain: an index above 0 (2) or a closure (4)
+            while l & 1 and not r & 1:
+                l, r = left[l], right[l]
+            body += 2 * (r & 1)
+        cells[sub + body] += 1
+
+
+def _graft_values(root: int, left: list[int], right: list[int]) -> dict:
+    """The values of the term ``trees.sample_term`` would build from
+    ``trees._graft``'s arrays, without building it: each ``RuleKind``'s
+    redex count, and under ``NESTED`` and the name of
     ``ParamKind.UNSUSPENDED`` the 0/1 nested flag and the unsuspended count.
 
-    Bottom-up like ``_fold``, it keeps per subtree a record (stand-in,
-    purity, unsuspended count) in place of the node: the stand-in is an
-    index's value, ``_ABS``, ``_APP`` or ``_CLOSURE``.  An application of
-    ``_ABS`` is a Beta redex, and ``_closure_rule`` classifies each
-    closure from its body's stand-in (an index built from its value) and
-    its substitution's: ``SHIFT``, ``_SLASH``, or ``_LIFT`` under a chain
-    of two or more.  A slash whose payload is impure is a nested
-    substitution."""
+    ``_region`` walks the unsuspended region first, then the slash
+    payloads, which hold every suspended node: a closure in a payload is a
+    nested substitution."""
+    cells, payloads = [0] * 15, []
+    unsuspended, beta = _region([root], payloads, left, right, cells)
+    closures = sum(cells)
+    if payloads:
+        beta += _region(payloads, payloads, left, right, cells)[1]
     counts = dict.fromkeys((*RuleKind, None), 0)  # None: a closure that is no redex
-    nested = 0
-    built: list[tuple] = []  # a left subtree's record lies above its sibling's
-    for chain, kind in reversed(plan):
-        if not kind:
-            built.append((chain, True, chain + 1))
-            continue
-        body, pure, unsuspended = built.pop()
-        if not chain:
-            if kind == 1:
-                built.append((_ABS, pure, unsuspended + 1))
-                continue
-            _, arg_pure, arg_unsuspended = built.pop()
-            if body is _ABS:
-                counts[_BETA] += 1
-            built.append((_APP, pure and arg_pure, unsuspended + arg_unsuspended + 1))
-            continue
-        if kind == 3 and not built.pop()[1]:
-            nested = 1
-        if body.__class__ is int:
-            body = _index(body)
-        sub = _LIFT if chain > 1 else SHIFT if kind == 1 else _SLASH
-        counts[_closure_rule(body, sub)] += 1
-        built.append((_CLOSURE, False, unsuspended + 1))  # the substitution is suspended
+    counts[_BETA] = beta
+    for rule, count in zip(_CELLS, cells):
+        counts[rule] += count
     del counts[None]
-    counts[ParamKind.UNSUSPENDED.value] = built[0][2]
-    counts[NESTED] = nested
+    counts[ParamKind.UNSUSPENDED.value] = unsuspended
+    counts[NESTED] = int(sum(cells) > closures)
     return counts
 
 
@@ -218,12 +260,12 @@ def _sample_values(
     n: int, seed: int, lo: int, hi: int, names: tuple[str, ...]
 ) -> list[tuple[int, ...]]:
     """Parameter values of the samples with indices [lo, hi), one tuple each,
-    read off each sample's plan by ``_plan_values``."""
+    read off each sample's grafting arrays by ``_graft_values``."""
     plain = (NESTED, ParamKind.UNSUSPENDED.value)
     columns = [name if name in plain else ParamKind(name).rule_kind for name in names]
     rows = []
     for i in range(lo, hi):
-        values = _plan_values(_sample_plan(n, Rng.derived(seed, i)))
+        values = _graft_values(*_graft(n, Rng.derived(seed, i)))
         rows.append(tuple([values[column] for column in columns]))
     return rows
 

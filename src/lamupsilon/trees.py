@@ -10,22 +10,22 @@ uniform sampler of terms of an exact size.
 ``sample_term`` is that composition fused into one routine: it computes
 the SplitMix64 words of the sample in batches, each with a handful of
 big-integer operations over all its words at once (``_words``), reads
-them in order in the grafting loop, and translates the grafting arrays
-straight to the term, with no ``BinTree`` in between.  It returns the
-same term as ``phi(remy_tree(n, rng))`` and leaves ``rng`` in the same
-state; ``remy_tree``, ``Rng.below`` and ``phi`` stay as the reference it
-is tested against.  At n = 1000 it takes 1.9–2.3 ms, against 2.2–3.4 ms
-with one scalar SplitMix64 step per word (medians of alternating runs on
-two shared cores, CPython 3.11); the kernel mixes the 2000 words in about
-0.3 ms.
+them in order in the grafting loop (``_graft``), and translates the
+grafting arrays straight to the term, with no ``BinTree`` in between.  It
+returns the same term as ``phi(remy_tree(n, rng))`` and leaves ``rng`` in
+the same state; ``remy_tree``, ``Rng.below`` and ``phi`` stay as the
+reference it is tested against.  At n = 1000 it takes 1.1–1.2 ms (best
+of five over 300 samples, two shared cores, CPython 3.11); the kernel
+mixes the 2000 words in about 0.2 ms, the grafting loop takes about
+0.25 ms, reading the plan off the arrays 0.2 ms, and the fold the rest.
 
 Both translations go through a plan: the (chain length, anchor code)
 pairs of the term's nodes in pre-order, which ``_fold`` builds into the
-term.  ``_plan`` reads it off a skeleton for ``phi``, and ``_sample_plan``
-off the grafting arrays for ``sample_term``.  The sampling experiments of
-``stats`` read their parameters straight off ``_sample_plan``'s plan and
-build no term; ``sample_term`` and the term walkers of ``rewrite`` are
-the oracle they are tested against.
+term.  ``_plan`` reads it off a skeleton for ``phi``, and ``_array_plan``
+off ``_graft``'s arrays for ``sample_term``.  The sampling experiments of
+``stats`` read their parameters straight off ``_graft``'s arrays and
+build neither a plan nor a term; ``sample_term`` and the term walkers of
+``rewrite`` are the oracle they are tested against.
 
 Every walk over a ``BinTree`` goes through its shape code: the pre-order
 list (left subtree before right) of per-node codes ``2*(has left) + (has
@@ -329,10 +329,15 @@ def phi_inv(term: Term) -> BinTree:
 
 
 def _grafting_arrays(n: int) -> tuple[list[int], list[int], list[int]]:
-    """Rémy's left, right and parent arrays over the ids 0..2n."""
+    """Rémy's left, right and parent arrays over the ids 0..2n; InvalidSize
+    if they cannot be laid out, whether 2n + 1 exceeds ``sys.maxsize`` or
+    the allocator refuses the memory."""
     if 2 * n + 1 > sys.maxsize:
         raise InvalidSize("the size is too large: 2n + 1 exceeds sys.maxsize")
-    return [0] * (2 * n + 1), [0] * (2 * n + 1), [-1] * (2 * n + 1)
+    try:
+        return [0] * (2 * n + 1), [0] * (2 * n + 1), [-1] * (2 * n + 1)
+    except MemoryError:
+        raise InvalidSize("the size is too large: Rémy's arrays do not fit in memory") from None
 
 
 def remy_tree(n: int, rng: Rng) -> BinTree:
@@ -376,28 +381,28 @@ def sample_term(n: int, rng: Rng) -> Term:
     """Uniform random term of size exactly n (there is none of size 0).
 
     Returns ``phi(remy_tree(n, rng))`` and advances ``rng`` exactly as that
-    call would, in one fused pass: ``_sample_plan`` grafts and reads
-    ``phi``'s plan, and the same ``_fold`` builds the term.
+    call would, in one fused pass: ``_graft`` grafts, ``_array_plan`` reads
+    ``phi``'s plan off the grafting arrays, and the same ``_fold`` builds
+    the term.
     """
-    return _fold(_sample_plan(n, rng))
+    return _fold(_array_plan(*_graft(n, rng)))
 
 
-def _sample_plan(n: int, rng: Rng) -> list[tuple[int, int]]:
-    """The translation plan of ``sample_term(n, rng)``, with ``rng``
-    advanced as that call advances it:
+def _graft(n: int, rng: Rng) -> tuple[int, list[int], list[int]]:
+    """The root and the ``left``/``right`` id arrays of ``remy_tree(n, rng)``
+    before its leaves are erased, with ``rng`` advanced as that call
+    advances it.  A skeleton child exists iff its id is odd; even ids are
+    Rémy's leaves.
 
-    * the grafting loop is ``remy_tree``'s, reading the stream's words in
-      order from ``_batches``: the 2n words a sample needs when no draw is
-      rejected, then one more per rejection.  A rejected draw just reads
-      the next word.  The node id 2k-1 of step k is also its draw bound.
-      A draw below ``2**64 - 2n`` is below every bound's rejection limit
-      ``2**64 - 2**64 % (2k-1)``, so the limit is only computed for the
-      rare draws above it.  The side is the low bit of the next word,
-      because bound 2 never rejects.  The state ends ``used`` golden
-      steps further on, ``used`` being the number of words read;
-    * the plan is read straight off the ``left``/``right`` id arrays (a
-      skeleton child exists iff its id is odd; even ids are Rémy's leaves),
-      with no ``BinTree`` in between.
+    The grafting loop is ``remy_tree``'s, reading the stream's words in
+    order from ``_batches``: the 2n words a sample needs when no draw is
+    rejected, then one more per rejection.  A rejected draw just reads the
+    next word.  The node id 2k-1 of step k is also its draw bound.  A draw
+    below ``2**64 - 2n`` is below every bound's rejection limit
+    ``2**64 - 2**64 % (2k-1)``, so the limit is only computed for the rare
+    draws above it.  The side is the low bit of the next word, because
+    bound 2 never rejects.  The state ends ``used`` golden steps further
+    on, ``used`` being the number of words read.
     """
     if _int("n", n) < 1:
         raise InvalidSize("there is no term of size zero")
@@ -426,6 +431,12 @@ def _sample_plan(n: int, rng: Rng) -> list[tuple[int, int]]:
             left[node], right[node] = node + 1, x
         parent[x] = parent[node + 1] = node
     rng._state = (state + used * _GOLDEN) & _MASK64
+    return root, left, right
+
+
+def _array_plan(root: int, left: list[int], right: list[int]) -> list[tuple[int, int]]:
+    """``phi``'s translation plan for ``_fold``, read straight off
+    ``_graft``'s arrays with no ``BinTree`` in between."""
     plan, stack = [], [root]  # plan: (chain length, anchor code) in pre-order
     while stack:
         node, chain = stack.pop(), 0

@@ -110,6 +110,10 @@ def test_sample_json_format(capsys):
     rendered = json.loads(out)
     assert len(rendered) == 5
     assert all(size(parse_term(r)) == 4 for r in rendered)
+    # written one term at a time, byte for byte as json.dumps of the list
+    assert out == json.dumps(rendered) + "\n"
+    argv = ("sample", "--size", "4", "--count", "1", "--seed", "3", "--format", "json")
+    assert run_cli(capsys, *argv) == (0, json.dumps(rendered[:1]) + "\n", "")
 
 
 def test_sample_rejects_zero_size(capsys):
@@ -455,6 +459,13 @@ def test_integer_flags_fail_cleanly(capsys, argv):
     assert "Traceback" not in err
     if code == 2:
         assert "error" in err
+
+
+@pytest.mark.parametrize("command", [["sample"], ["stats", "--samples", "2"]])
+def test_a_size_whose_arrays_the_allocator_refuses_exits_two(capsys, command):
+    # 2n + 1 is below sys.maxsize; the arrays would take 16 PB
+    message = "error: the size is too large: Rémy's arrays do not fit in memory\n"
+    assert run_cli(capsys, *command, "--size", str(10**15)) == (2, "", message)
 
 
 def test_usage_errors_exit_two(capsys):

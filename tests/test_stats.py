@@ -13,6 +13,7 @@ import pytest
 from lamupsilon import (
     Closure,
     ComparisonReport,
+    Index,
     InsufficientSamples,
     InvalidSize,
     NESTED,
@@ -30,6 +31,7 @@ from lamupsilon import (
     has_nested_substitution,
     import_summaries,
     iter_subterms,
+    node_count,
     param_value,
     phi,
     run_experiment,
@@ -45,11 +47,12 @@ from lamupsilon.stats import (
     LIMIT_MEAN_SLOPE,
     LIMIT_VARIANCE_SLOPE,
     UNSUSPENDED_MEAN_LIMIT,
-    _plan_values,
+    _closure_cells,
+    _graft_values,
+    _region,
     _sample_values,
     round12,
 )
-from lamupsilon.trees import _plan
 
 ALL_PARAMS = [*ParamKind, NESTED]
 
@@ -169,32 +172,65 @@ def test_sample_values_match_the_term_walkers(n):
         assert _sample_values(n, seed, 3, 23, names) == list(map(_walked_values, terms))
 
 
-def test_plan_values_match_the_term_walkers_on_every_small_skeleton():
+def _remy_arrays(tree) -> tuple[int, list[int], list[int]]:
+    """``tree`` laid out as ``trees._graft`` lays out a sample: its nodes
+    take the odd ids, and each missing child its own even id (Rémy's leaves)."""
+    n = node_count(tree)
+    left, right = [0] * (2 * n + 1), [0] * (2 * n + 1)
+    odd, even = iter(range(2 * n - 1, 0, -2)), iter(range(0, 2 * n + 1, 2))
+    root = next(odd)
+    stack = [(tree, root)]
+    while stack:
+        node, i = stack.pop()
+        for child, side in ((node.left, left), (node.right, right)):
+            side[i] = next(even if child is None else odd)
+            if child is not None:
+                stack.append((child, side[i]))
+    return root, left, right
+
+
+def test_graft_values_match_the_term_walkers_on_every_small_skeleton():
     redexes = [param.rule_kind for param in ParamKind if param.rule_kind]
     columns = [*redexes, ParamKind.UNSUSPENDED.value, NESTED]
-    for n in range(1, 9):
-        for tree in enumerate_trees(n):
-            values = _plan_values(_plan(tree))
-            assert list(values) == columns
-            assert tuple(values.values()) == _walked_values(phi(tree)), tree
+    trees = [tree for n in range(1, 9) for tree in enumerate_trees(n)]
+    assert len(trees) == 2055
+    for tree in trees:
+        values = _graft_values(*_remy_arrays(tree))
+        assert list(values) == columns
+        assert tuple(values.values()) == _walked_values(phi(tree)), tree
 
 
-def test_plan_values_classify_each_closure_through_the_rewriter(monkeypatch):
-    # the rule table is stated once, in rewrite._closure_rule
+def test_closure_cells_classify_each_closure_through_the_rewriter(monkeypatch):
+    # the rule table is stated once, in rewrite._closure_rule: each cell of the
+    # walk is the rule of one stand-in closure, and every closure of a term
+    # falls in the cell of the stand-in whose body and substitution it shares
     import lamupsilon.stats
 
-    calls, rule = [], lamupsilon.stats._closure_rule
+    calls = []
 
-    def counted(body, sub):
+    def recorded(body, sub):
         calls.append((body, sub))
-        return rule(body, sub)
+        return len(calls)
 
-    monkeypatch.setattr(lamupsilon.stats, "_closure_rule", counted)
+    monkeypatch.setattr(lamupsilon.stats, "_closure_rule", recorded)
+    assert _closure_cells() == tuple(range(1, 16))
+
+    def kind(node):
+        return node.__class__, node.n > 0 if isinstance(node, Index) else None
+
+    cell_of = {(kind(body), sub.__class__): cell for cell, (body, sub) in enumerate(calls)}
+    assert len(cell_of) == 15
     for tree in enumerate_trees(6):
-        calls.clear()
-        _plan_values(_plan(tree))
-        closures = [node for _, node in iter_subterms(phi(tree)) if isinstance(node, Closure)]
-        assert len(calls) == len(closures), tree
+        want = [0] * 15
+        for _, node in iter_subterms(phi(tree)):
+            if isinstance(node, Closure):
+                want[cell_of[kind(node.body), node.sub.__class__]] += 1
+        cells, payloads = [0] * 15, []
+        root, left, right = _remy_arrays(tree)
+        _region([root], payloads, left, right, cells)
+        if payloads:
+            _region(payloads, payloads, left, right, cells)
+        assert cells == want, tree
 
 
 def test_import_leaves_the_process_pool_unloaded():
@@ -237,8 +273,9 @@ def test_experiment_accepts_nested_indicator():
 
 
 def test_experiment_argument_validation():
-    with pytest.raises(InvalidSize):
-        run_experiment(0, 10, 0, [ParamKind.BETA])
+    for n in (0, 10**15):  # no term, or no memory for Rémy's arrays
+        with pytest.raises(InvalidSize):
+            run_experiment(n, 10, 0, [ParamKind.BETA])
     with pytest.raises(InsufficientSamples):
         run_experiment(3, 1, 0, [ParamKind.BETA])
     with pytest.raises(ValueError):

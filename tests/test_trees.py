@@ -313,7 +313,9 @@ def test_remy_rejects_size_zero():
 
 
 def test_sizes_too_large_to_sample_are_rejected():
-    for n in (2**62, 10**20):
+    # 10**15 passes the sys.maxsize check, but its 16 PB of arrays lie beyond
+    # any address space, so the allocator refuses them without touching memory
+    for n in (10**15, 2**62, 10**20):
         with pytest.raises(InvalidSize):
             remy_tree(n, Rng(0))
         with pytest.raises(InvalidSize):
