@@ -10,6 +10,7 @@ is a fault of the engine: it raises RuntimeError and maps to no exit code.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from decimal import Decimal  # prints an int of any length; str() stops at 4300 digits
@@ -72,6 +73,14 @@ def _usage_error(message: str) -> int:
     return 2
 
 
+def _write_json_list(items) -> None:
+    """Write ``json.dumps(list(items))`` and a newline, one item at a time."""
+    sys.stdout.write("[")
+    for i, item in enumerate(items):
+        sys.stdout.write((", " if i else "") + json.dumps(item))
+    sys.stdout.write("]\n")
+
+
 def _read_term_text(args) -> str | None:
     if args.term is not None or sys.stdin is None or sys.stdin.isatty():  # None: closed
         return args.term
@@ -102,15 +111,11 @@ def _cmd_sample(args) -> int:
         first = next(rendered)  # all samples share the size: the first refuses a bad one
     except InvalidSize as err:  # too large to sample
         return _usage_error(str(err))
-    # one term at a time; the JSON is byte-identical to json.dumps(list of terms)
+    lines = itertools.chain((first,), rendered)  # one term at a time
     if args.format == "json":
-        sys.stdout.write("[" + json.dumps(first))
-        for line in rendered:
-            sys.stdout.write(", " + json.dumps(line))
-        sys.stdout.write("]\n")
+        _write_json_list(lines)
     else:
-        print(first)
-        for line in rendered:
+        for line in lines:
             print(line)
     return 0
 
@@ -135,12 +140,9 @@ def _cmd_normalize(args) -> int:
         normal, trace, code = stopped.term, stopped.trace, 1
     print(render_term(normal))
     if args.trace:
-        # one step at a time, byte-identical to json.dumps(trace_to_json(trace)): the
-        # trace replays each result term from the input, so one term is held at a time
-        sys.stdout.write("[")
-        for i, item in enumerate(_trace_items(trace)):
-            sys.stdout.write((", " if i else "") + json.dumps(item))
-        sys.stdout.write("]\n")
+        # the items of trace_to_json(trace): the trace replays each result term
+        # from the input, so one term is held at a time
+        _write_json_list(_trace_items(trace))
     if code:
         print(
             f"step budget of {args.max_steps} exhausted; result is not normal",

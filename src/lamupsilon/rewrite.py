@@ -270,7 +270,8 @@ def count_redexes(term: Term, kind: RuleKind) -> int:
 
 def count_all_redexes(term: Term) -> dict[RuleKind, int]:
     """Counts for all eight rules in a single traversal.  A loop of its own:
-    on this hot path of the sampling experiment ``_nodes`` costs a quarter more."""
+    the brute-force totals of ``series`` and the tests' oracles call it once
+    per term, and through ``_nodes`` it costs up to a tenth more."""
     counts = dict.fromkeys(RuleKind, 0)
     stack = [_of_sort(term, "Term")]
     while stack:

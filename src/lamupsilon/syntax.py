@@ -10,8 +10,9 @@ Grammar::
     subst   := "shift" | "lift" "(" subst ")" | term "/"
 
 ``\\`` is the binder, application is juxtaposition (left-associative) and
-the closure postfix ``[s]`` binds tighter than application.  Whitespace
-only separates tokens (it is required between two adjacent numerals).
+the closure postfix ``[s]`` binds tighter than application.  A digit is
+an ASCII ``0``-``9``.  Whitespace only separates tokens (it is required
+between two adjacent numerals).
 
 ``parse_term(render_term(t)) == t`` for every term whose indices have at
 most 4300 digits, and rendering uses minimal parentheses with single
@@ -49,9 +50,9 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         ch = text[i]
         if ch in " \t\r\n":
             i += 1
-        elif ch.isdecimal():
+        elif "0" <= ch <= "9":  # ASCII only: str.isdecimal also takes "٣" and "１"
             start = i
-            while i < n and text[i].isdecimal():
+            while i < n and "0" <= text[i] <= "9":
                 i += 1
             try:
                 tokens.append(("index", int(text[start:i]), start))

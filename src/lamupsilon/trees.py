@@ -10,30 +10,24 @@ uniform sampler of terms of an exact size.
 ``sample_term`` is that composition fused into one routine: it computes
 the SplitMix64 words of the sample in batches, each with a handful of
 big-integer operations over all its words at once (``_words``), reads
-them in order in the grafting loop (``_graft``), and translates the
-grafting arrays straight to the term, with no ``BinTree`` in between.  It
-returns the same term as ``phi(remy_tree(n, rng))`` and leaves ``rng`` in
-the same state; ``remy_tree``, ``Rng.below`` and ``phi`` stay as the
-reference it is tested against.  At n = 1000 it takes 1.1–1.2 ms (best
-of five over 300 samples, two shared cores, CPython 3.11); the kernel
-mixes the 2000 words in about 0.2 ms, the grafting loop takes about
-0.25 ms, reading the plan off the arrays 0.2 ms, and the fold the rest.
-
-Both translations go through a plan: the (chain length, anchor code)
-pairs of the term's nodes in pre-order, which ``_fold`` builds into the
-term.  ``_plan`` reads it off a skeleton for ``phi``, and ``_array_plan``
-off ``_graft``'s arrays for ``sample_term``.  The sampling experiments of
-``stats`` read their parameters straight off ``_graft``'s arrays and
-build neither a plan nor a term; ``sample_term`` and the term walkers of
-``rewrite`` are the oracle they are tested against.
+them in order in the grafting loop (``_graft``), reads the skeleton's
+shape code straight off the grafting arrays (``_array_shape``) and folds
+it into the term with ``phi``'s ``_fold``, with no ``BinTree`` in
+between.  It returns the same term as ``phi(remy_tree(n, rng))`` and
+leaves ``rng`` in the same state; ``remy_tree``, ``Rng.below`` and
+``phi`` stay as the reference it is tested against.  The sampling
+experiments of ``stats`` read their parameters straight off ``_graft``'s
+arrays and build neither a code nor a term; ``sample_term`` and the term
+walkers of ``rewrite`` are the oracle they are tested against.
 
 Every walk over a ``BinTree`` goes through its shape code: the pre-order
 list (left subtree before right) of per-node codes ``2*(has left) + (has
 right)``.  It is a prefix code, so it determines the tree.  ``_shape``
 reads the code off a tree and ``_from_shape`` builds a tree from one;
-``node_count``, the JSON form, ``phi``, ``phi_inv`` and Rémy's leaf
-erasure all speak codes, and ``BinTree`` inherits equality and hashing
-over its code, and ``repr``, from the term classes' base ``terms._Node``.
+``node_count``, the JSON form, ``phi``, ``phi_inv``, Rémy's leaf
+erasure and ``sample_term`` all speak codes, and ``BinTree`` inherits
+equality and hashing over its code, and ``repr``, from the term classes'
+base ``terms._Node``.
 Both walks use an explicit stack, so depth is limited by memory only,
 never by the recursion limit.
 """
@@ -246,16 +240,22 @@ def _batches(state: int, count: int):
         count -= size
 
 
-def _fold(plan: list[tuple[int, int]]) -> Term:
-    """The term of a translation plan: (chain length, anchor code) pairs in
-    pre-order, built bottom-up.  A leaf anchor (code 0) under a chain of k
-    makes the index k; a right-only (1) or two-child (3) anchor makes a
-    binder or an application, or under a chain of k >= 1 a closure with a
-    shift or slash base wrapped in k - 1 lifts.  Every child is a term
-    but the closure's substitution, and a chain length is a non-negative
-    int, so the unchecked factories build the nodes."""
+def _fold(codes: list[int]) -> Term:
+    """The term of a shape code, built bottom-up.  Read backwards, each
+    anchor (code 0, 1 or 3) is followed by the run of 2s of its maximal
+    left-only chain, so an anchor waits until the next anchor (or the end)
+    gives its chain length k.  A leaf anchor makes the index k; a
+    right-only (1) or two-child (3) anchor makes a binder or an
+    application, or under a chain of k >= 1 a closure with a shift or
+    slash base wrapped in k - 1 lifts.  Every child is a term but the
+    closure's substitution, and k is a non-negative int, so the unchecked
+    factories build the nodes."""
     built: list[Term] = []  # a left subtree's term lies above its sibling's
-    for chain, kind in reversed(plan):
+    chain = kind = 0  # a stand-in leaf anchor: its index lies below the term
+    for code in itertools.chain(reversed(codes), (0,)):  # a last 0 ends the root's chain
+        if code == 2:
+            chain += 1
+            continue
         if not kind:
             built.append(_index(chain))
         elif not chain:
@@ -267,7 +267,8 @@ def _fold(plan: list[tuple[int, int]]) -> Term:
             for _ in range(chain - 1):
                 sub = _lift(sub)
             built.append(_closure(base, sub))
-    return built[0]
+        chain, kind = 0, code
+    return built[1]
 
 
 def phi(tree: BinTree) -> Term:
@@ -278,20 +279,7 @@ def phi(tree: BinTree) -> Term:
     successors over a leaf anchor, or wraps lifts around the closure
     produced by a right-only or two-child anchor.
     """
-    return _fold(_plan(_member(BinTree, tree)))
-
-
-def _plan(tree: BinTree) -> list[tuple[int, int]]:
-    """``phi``'s translation plan for ``_fold``: in the shape code a chain
-    is a run of 2s followed by its anchor's code."""
-    plan, chain = [], 0
-    for code in _shape(tree):
-        if code == 2:
-            chain += 1
-        else:
-            plan.append((chain, code))
-            chain = 0
-    return plan
+    return _fold(_shape(_member(BinTree, tree)))
 
 
 def phi_inv(term: Term) -> BinTree:
@@ -381,11 +369,11 @@ def sample_term(n: int, rng: Rng) -> Term:
     """Uniform random term of size exactly n (there is none of size 0).
 
     Returns ``phi(remy_tree(n, rng))`` and advances ``rng`` exactly as that
-    call would, in one fused pass: ``_graft`` grafts, ``_array_plan`` reads
-    ``phi``'s plan off the grafting arrays, and the same ``_fold`` builds
-    the term.
+    call would, in one fused pass: ``_graft`` grafts, ``_array_shape``
+    reads the skeleton's shape code off the grafting arrays, and ``phi``'s
+    ``_fold`` builds the term.
     """
-    return _fold(_array_plan(*_graft(n, rng)))
+    return _fold(_array_shape(*_graft(n, rng)))
 
 
 def _graft(n: int, rng: Rng) -> tuple[int, list[int], list[int]]:
@@ -434,22 +422,16 @@ def _graft(n: int, rng: Rng) -> tuple[int, list[int], list[int]]:
     return root, left, right
 
 
-def _array_plan(root: int, left: list[int], right: list[int]) -> list[tuple[int, int]]:
-    """``phi``'s translation plan for ``_fold``, read straight off
-    ``_graft``'s arrays with no ``BinTree`` in between."""
-    plan, stack = [], [root]  # plan: (chain length, anchor code) in pre-order
+def _array_shape(root: int, left: list[int], right: list[int]) -> list[int]:
+    """The shape code of ``_graft``'s skeleton, read straight off its arrays
+    with no ``BinTree`` in between: a child exists iff its id is odd."""
+    codes, stack = [], [root]
     while stack:
-        node, chain = stack.pop(), 0
+        node = stack.pop()
         l, r = left[node], right[node]
-        while not r & 1 and l & 1:
-            node, chain = l, chain + 1
-            l, r = left[node], right[node]
-        if not r & 1:
-            plan.append((chain, 0))  # no child: a leaf anchor
-        elif not l & 1:
-            plan.append((chain, 1))  # right child only
+        codes.append(2 * (l & 1) + (r & 1))
+        if r & 1:
             stack.append(r)
-        else:
-            plan.append((chain, 3))  # two children
-            stack += (r, l)
-    return plan
+        if l & 1:
+            stack.append(l)
+    return codes

@@ -7,15 +7,15 @@ suite covers the same ground (and more) with finer-grained assertions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Callable
 
 from .rewrite import RuleKind, _upsilon_levels, normalize
 from .series import (
     ParamKind,
+    _catalans,
     catalan,
     count_substs,
     count_terms,
@@ -41,14 +41,13 @@ def _check(name: str, passed: bool, detail: str = "") -> CheckResult:
 
 
 def suite_catalan(max_size: int = 64) -> list[CheckResult]:
-    """Counting sequences against the closed binomial forms."""
+    """Counting sequences, each against the other way of computing it: the
+    closed binomial form of ``catalan`` and the step recurrence of
+    ``_catalans``."""
     results = []
     results.append(_check("count_terms(0) = 0", count_terms(0) == 0))
-    bad = [
-        n
-        for n in range(1, max_size + 1)
-        if count_terms(n) != math.comb(2 * n, n) // (n + 1)
-    ]
+    steps = zip(range(1, max_size + 1), islice(_catalans(), 1, None))
+    bad = [n for n, want in steps if count_terms(n) != want]
     results.append(
         _check(
             f"count_terms(n) = Catalan(n) for 1..{max_size}",

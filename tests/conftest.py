@@ -15,6 +15,7 @@ from lamupsilon import (
     Slash,
     apply_at,
     find_redexes,
+    node_count,
 )
 from lamupsilon.rewrite import ALL_RULES, UPSILON_RULES
 from lamupsilon.terms import children
@@ -99,6 +100,23 @@ def chi_square_quantile(df: int, p: float) -> float:
     """Wilson-Hilferty approximation of the chi-square quantile."""
     z = {0.999: 3.090232306167813, 0.99: 2.3263478740408408}[p]
     return df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
+
+
+def _remy_arrays(tree) -> tuple[int, list[int], list[int]]:
+    """``tree`` laid out as ``trees._graft`` lays out a sample: its nodes
+    take the odd ids, and each missing child its own even id (Rémy's leaves)."""
+    n = node_count(tree)
+    left, right = [0] * (2 * n + 1), [0] * (2 * n + 1)
+    odd, even = iter(range(2 * n - 1, 0, -2)), iter(range(0, 2 * n + 1, 2))
+    root = next(odd)
+    stack = [(tree, root)]
+    while stack:
+        node, i = stack.pop()
+        for child, side in ((node.left, left), (node.right, right)):
+            side[i] = next(even if child is None else odd)
+            if child is not None:
+                stack.append((child, side[i]))
+    return root, left, right
 
 
 @pytest.fixture

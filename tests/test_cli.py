@@ -178,8 +178,9 @@ def test_normalize_without_input_is_usage_error(capsys):
 
 
 def test_normalize_parse_error_exit_code(capsys):
-    code, _, err = run_cli(capsys, "normalize", "--term", "0[")
-    assert code == 2 and "expected" in err
+    for text in ("0[", "٣", "１", "0 ٣"):  # only ASCII digits make an index
+        code, _, err = run_cli(capsys, "normalize", "--term", text)
+        assert code == 2 and "expected" in err, text
 
 
 @pytest.mark.parametrize(

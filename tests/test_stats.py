@@ -31,7 +31,6 @@ from lamupsilon import (
     has_nested_substitution,
     import_summaries,
     iter_subterms,
-    node_count,
     param_value,
     phi,
     run_experiment,
@@ -53,6 +52,8 @@ from lamupsilon.stats import (
     _sample_values,
     round12,
 )
+
+from conftest import _remy_arrays
 
 ALL_PARAMS = [*ParamKind, NESTED]
 
@@ -170,23 +171,6 @@ def test_sample_values_match_the_term_walkers(n):
     for seed in (0, 5):
         terms = [sample_term(n, Rng.derived(seed, i)) for i in range(3, 23)]
         assert _sample_values(n, seed, 3, 23, names) == list(map(_walked_values, terms))
-
-
-def _remy_arrays(tree) -> tuple[int, list[int], list[int]]:
-    """``tree`` laid out as ``trees._graft`` lays out a sample: its nodes
-    take the odd ids, and each missing child its own even id (Rémy's leaves)."""
-    n = node_count(tree)
-    left, right = [0] * (2 * n + 1), [0] * (2 * n + 1)
-    odd, even = iter(range(2 * n - 1, 0, -2)), iter(range(0, 2 * n + 1, 2))
-    root = next(odd)
-    stack = [(tree, root)]
-    while stack:
-        node, i = stack.pop()
-        for child, side in ((node.left, left), (node.right, right)):
-            side[i] = next(even if child is None else odd)
-            if child is not None:
-                stack.append((child, side[i]))
-    return root, left, right
 
 
 def test_graft_values_match_the_term_walkers_on_every_small_skeleton():

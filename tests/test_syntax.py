@@ -99,8 +99,9 @@ def test_rendering_is_canonical(t):
 
 
 # The (offset, expected, found) of every malformed input.  All but the last
-# three are as the recursive-descent parser reported them; "²" and a numeral
-# too long for int() used to escape as ValueError.
+# seven are as the recursive-descent parser reported them; "²" and a numeral
+# too long for int() used to escape as ValueError, and the non-ASCII decimal
+# digits "٣" and "１" used to read as digits.
 MALFORMED = {
     "": (0, {"an index", "'('", "'\\'"}, "end of input"),
     "0[": (2, {"'shift'", "'lift'", "a term"}, "end of input"),
@@ -116,6 +117,10 @@ MALFORMED = {
     "0 @": (2, {"a term"}, "'@'"),
     "²": (0, {"a term"}, "'²'"),  # a digit, but not a decimal one
     "0²": (1, {"a term"}, "'²'"),
+    "٣": (0, {"a term"}, "'٣'"),  # decimal, but not ASCII
+    "１": (0, {"a term"}, "'１'"),
+    "0 ٣": (2, {"a term"}, "'٣'"),
+    "1٣": (1, {"a term"}, "'٣'"),
     "9" * 5000: (0, {"an index"}, "5000 digits"),
 }
 
@@ -155,7 +160,6 @@ def test_text_that_is_not_a_str_raises_type_error(text):
 
 def test_leading_zeros_read_as_decimal():
     assert parse_term("007") == Index(7)
-    assert parse_term("1٣") == Index(13)  # any Unicode decimal digit
 
 
 def test_rendered_terms_have_exact_size():

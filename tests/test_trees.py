@@ -34,9 +34,9 @@ from lamupsilon import (
     tree_from_json,
     tree_to_json,
 )
-from lamupsilon.trees import _BATCH, LEAF, _from_shape, _shape, _words
+from lamupsilon.trees import _BATCH, LEAF, _array_shape, _fold, _from_shape, _shape, _words
 
-from conftest import chi_square_quantile, terms
+from conftest import _remy_arrays, chi_square_quantile, terms
 
 skeletons = st.deferred(
     lambda: st.one_of(
@@ -208,6 +208,22 @@ def test_shape_codes():
     for n in range(1, 8):
         for tree in enumerate_trees(n):
             assert _from_shape(_shape(tree)) == tree and len(_shape(tree)) == n
+
+
+def test_the_shape_code_read_off_remy_arrays_folds_to_phi(default_recursion_limit):
+    # sample_term's path, _fold(_array_shape(arrays)), on every small skeleton
+    # and on a long root chain and a deep lift tower
+    tower = SHIFT
+    for _ in range(4999):
+        tower = Lift(tower)
+    deep = [Index(5000), Closure(Abs(Index(0)), tower)]
+    trees = [tree for n in range(1, 9) for tree in enumerate_trees(n)]
+    assert len(trees) == 2055
+    for tree in [*trees, *map(phi_inv, deep)]:
+        codes = _array_shape(*_remy_arrays(tree))
+        assert codes == _shape(tree)
+        term = _fold(codes)
+        assert term == phi(tree) and phi_inv(term) == tree, tree
 
 
 def test_skeleton_repr_is_the_dataclass_text():
